@@ -22,6 +22,7 @@ from .lattice import (
     cokernel,
     cokernel_bruteforce_oracle,
     det_cofactor,
+    invariant_factors,
     smith_normal_form,
 )
 from .projective import (
@@ -82,7 +83,7 @@ __all__ = [
     "CoincalcError", "ConsistencyError", "DescriptorError", "FactBaseError",
     "IntMatrix", "FGAbelianGroup", "SmithNormalForm", "smith_normal_form",
     "abs_det_of_image", "cokernel", "cokernel_bruteforce_oracle",
-    "det_cofactor",
+    "det_cofactor", "invariant_factors",
     "Fact", "Truth", "Provenance", "Verdict", "InvariantBundle",
     "combine_and", "user_fact", "validate_bundle", "INFINITE", "UNKNOWN",
     "FactBase", "KervaireStatus", "get_factbase", "set_factbase",

@@ -26,6 +26,7 @@ from .projective import (
 )
 from .tables import FactBase, get_factbase, lint_text, set_factbase
 from .verdict import (
+    ALL_FIELDS,
     INFINITE,
     UNKNOWN,
     Fact,
@@ -99,7 +100,11 @@ def _run_torus(payload: dict):
         det_kills_top=_fact(payload, "det_kills_top", where),
     )
     bundle = torus.torus_invariants(d)
-    warnings = [] if d.source_is_torus else [torus.bound_chain_note(d)]
+    warnings = []
+    if not d.source_is_torus:
+        order = bundle.reidemeister.value  # the cokernel order
+        det = 0 if order is INFINITE else order
+        warnings.append(torus.bound_chain_note(d, det))
     return bundle, d.n, warnings
 
 
@@ -171,7 +176,8 @@ def _run_stiefel(payload: dict):
     q = stiefel.StiefelQuery(
         r=_need(payload, "r", int, where),
         k=_need(payload, "k", int, where),
-        oriented_target=bool(payload.get("oriented_target", False)),
+        oriented_target=(_need(payload, "oriented_target", bool, where)
+                         if "oriented_target" in payload else False),
     )
     target_dim = q.k * (q.r - q.k)  # dimension of the Grassmannian
     return stiefel.stiefel_selfcoincidence(q), target_dim, []
@@ -219,10 +225,6 @@ def _fact_json(fact: Fact) -> dict:
     return {"value": fact.truth.value, "trace": trace}
 
 
-_BUNDLE_KEYS = ("mc", "mcc", "n_sharp", "n_tilde", "n", "n_z",
-                "reidemeister")
-
-
 def run_query(query: dict) -> dict:
     """One Query in, one Answer out.  Raises QueryError/DescriptorError on
     bad payloads and ConsistencyError on internal rule clashes."""
@@ -264,7 +266,7 @@ def run_query(query: dict) -> dict:
     if violations:
         raise ConsistencyError(
             f"emitted bundle violates the invariant chain: {violations}")
-    for key in _BUNDLE_KEYS:
+    for key, _ in ALL_FIELDS:
         answer["invariants"][key] = _verdict_json(getattr(bundle, key))
     answer["warnings"] = warnings
     return answer
@@ -300,7 +302,15 @@ def run_batch(queries: list, jobs: int = 1) -> list[dict]:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # exact answers may run past CPython's int-to-str digit limit, which
+    # guards parsing untrusted input, not printing our own results; lift it
+    # for this dump only, so that input parsing stays bounded
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- entry point -------------------------------------------------------------
@@ -348,6 +358,14 @@ def _load_json(path: str):
         raise QueryError(f"cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise QueryError(f"{path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError:
+        raise QueryError(f"{path} is not UTF-8 text") from None
+    except ValueError:  # int("...") past CPython's int-from-str digit limit
+        raise QueryError(
+            f"{path} holds an integer over {sys.get_int_max_str_digits()} "
+            "digits") from None
+    except RecursionError:
+        raise QueryError(f"{path} nests too deeply to parse") from None
 
 
 def main(argv=None) -> int:

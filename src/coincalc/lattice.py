@@ -2,9 +2,13 @@
 cokernels, and a brute-force coset-counting oracle.
 
 Everything runs on Python's arbitrary-precision integers; no intermediate
-value is allowed to overflow because none can.  The Smith reduction is the
-gcd-pivot algorithm with explicit transform accumulation, so the factorization
-D = U * A * V is returned and can be checked exactly.
+value is allowed to overflow because none can.  One gcd-pivot elimination
+routine, ``_reduce``, diagonalizes a matrix in place.  ``smith_normal_form``
+runs it with the U and V transforms, so the factorization D = U * A * V is
+returned and can be checked exactly.  ``invariant_factors`` runs it without
+them, and ``cokernel`` and ``abs_det_of_image`` read only those factors, so
+the torus path never builds transforms, whose entries grow far past the
+input's size.
 """
 
 from __future__ import annotations
@@ -169,37 +173,42 @@ class SmithNormalForm(NamedTuple):
         return tuple(x for x in (self.d.at(i, i) for i in range(k)) if x)
 
 
-def smith_normal_form(a: IntMatrix) -> SmithNormalForm:
-    """Diagonalize by unimodular transforms: returns (D, U, V) with
-    D = U * a * V, diagonal entries nonnegative and sorted by divisibility."""
-    r, c = a.rows, a.cols
-    d = a.to_rows()
-    u = IntMatrix.identity(r).to_rows()
-    v = IntMatrix.identity(c).to_rows()
+def _reduce(d: list[list[int]], u: list[list[int]] | None = None,
+            v: list[list[int]] | None = None) -> None:
+    """Diagonalize the rows ``d`` in place: afterwards the diagonal is
+    nonnegative, sorted by divisibility and zero-padded, and every entry
+    off it is zero.  Each row operation is repeated on ``u`` and each column
+    operation on ``v`` when they are given, so that identity starting
+    transforms end as U and V with D = U * A * V."""
+    r, c = len(d), len(d[0])
 
     def row_sub(i, k, q):  # row_i -= q * row_k
         if q:
             d[i] = [x - q * y for x, y in zip(d[i], d[k])]
-            u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+            if u is not None:
+                u[i] = [x - q * y for x, y in zip(u[i], u[k])]
 
     def col_sub(j, k, q):  # col_j -= q * col_k
         if q:
             for row in d:
                 row[j] -= q * row[k]
-            for row in v:
-                row[j] -= q * row[k]
+            if v is not None:
+                for row in v:
+                    row[j] -= q * row[k]
 
     def swap_rows(i, k):
         if i != k:
             d[i], d[k] = d[k], d[i]
-            u[i], u[k] = u[k], u[i]
+            if u is not None:
+                u[i], u[k] = u[k], u[i]
 
     def swap_cols(j, k):
         if j != k:
             for row in d:
                 row[j], row[k] = row[k], row[j]
-            for row in v:
-                row[j], row[k] = row[k], row[j]
+            if v is not None:
+                for row in v:
+                    row[j], row[k] = row[k], row[j]
 
     t = 0
     while t < min(r, c):
@@ -245,17 +254,35 @@ def smith_normal_form(a: IntMatrix) -> SmithNormalForm:
     for i in range(min(r, c)):
         if d[i][i] < 0:
             d[i] = [-x for x in d[i]]
-            u[i] = [-x for x in u[i]]
+            if u is not None:
+                u[i] = [-x for x in u[i]]
 
+
+def smith_normal_form(a: IntMatrix) -> SmithNormalForm:
+    """Diagonalize by unimodular transforms: returns (D, U, V) with
+    D = U * a * V, diagonal entries nonnegative and sorted by divisibility."""
+    d = a.to_rows()
+    u = IntMatrix.identity(a.rows).to_rows()
+    v = IntMatrix.identity(a.cols).to_rows()
+    _reduce(d, u, v)
     return SmithNormalForm(
         IntMatrix.from_rows(d), IntMatrix.from_rows(u), IntMatrix.from_rows(v)
     )
 
 
+def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
+    """The nonzero invariant factors d_1 | d_2 | ... of ``a``: the same as
+    ``smith_normal_form(a).divisors``, reduced without the transforms."""
+    d = a.to_rows()
+    _reduce(d)
+    return tuple(x for x in (d[i][i] for i in range(min(a.rows, a.cols)))
+                 if x)
+
+
 def abs_det_of_image(a: IntMatrix) -> int:
     """|det| of any square matrix whose columns generate the column lattice
     of ``a`` inside Z^rows; 0 when the lattice has rank below ``rows``."""
-    divisors = smith_normal_form(a).divisors
+    divisors = invariant_factors(a)
     if len(divisors) < a.rows:
         return 0
     return prod(divisors)
@@ -263,7 +290,7 @@ def abs_det_of_image(a: IntMatrix) -> int:
 
 def cokernel(a: IntMatrix) -> FGAbelianGroup:
     """Z^rows modulo the column lattice of ``a``, in invariant-factor form."""
-    divisors = smith_normal_form(a).divisors
+    divisors = invariant_factors(a)
     return FGAbelianGroup(
         torsion=tuple(d for d in divisors if d >= 2),
         free_rank=a.rows - len(divisors),

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DescriptorError
-from .lattice import IntMatrix, abs_det_of_image, cokernel
+from .lattice import IntMatrix, cokernel
 from .verdict import (
+    INFINITE,
     Fact,
     InvariantBundle,
     Truth,
@@ -55,8 +56,9 @@ class TorusPairDescriptor:
 
 
 def torus_invariants(d: TorusPairDescriptor) -> InvariantBundle:
-    det = abs_det_of_image(d.h1_matrix)
     card = cokernel(d.h1_matrix).cardinality()
+    # |det| of the image is the cokernel order when finite, else 0
+    det = 0 if card is INFINITE else card
 
     if d.source_is_torus:
         reid = Verdict((card), ("Thm1.8",))
@@ -97,9 +99,9 @@ def torus_invariants(d: TorusPairDescriptor) -> InvariantBundle:
                            n_z=n_z, reidemeister=reid)
 
 
-def bound_chain_note(d: TorusPairDescriptor) -> str:
-    """Human-readable record of the bound chain for general sources."""
-    det = abs_det_of_image(d.h1_matrix)
+def bound_chain_note(d: TorusPairDescriptor, det: int) -> str:
+    """Human-readable record of the bound chain for general sources, given
+    ``det``, the |det| of the image of the H1 difference."""
     middle = " ≥ MCC" if d.n != 2 else " ≥ MCC (needs n ≠ 2)"
     return (f"Thm3.7 bounds: Reidemeister ≥ |det| = {det}{middle} "
             "≥ N# ≥ Ñ ≥ N ≥ N^Z")

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from coincalc.cli import main, run_batch, run_query, _dump
+from coincalc import IntMatrix, abs_det_of_image
+from coincalc.cli import QueryError, main, run_batch, run_query, _dump
 
 DATA = Path(__file__).parent / "data"
 
@@ -117,6 +118,61 @@ def test_invalid_json_is_input_error(tmp_path):
     path.write_text("{nope")
     result = run_cli("query", str(path))
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("content", [
+    # past CPython's int-from-str digit limit
+    ('{"id": "h", "family": "stiefel", "payload": {"r": ' + "7" * 5000
+     + ', "k": 2}}').encode(),
+    b"[" * 100_000,  # past the parser's recursion limit
+    b"\xff\xfe",  # not UTF-8
+], ids=["huge-integer", "deep-nesting", "not-utf8"])
+def test_unparseable_file_is_input_error(tmp_path, content):
+    path = tmp_path / "query.json"
+    path.write_bytes(content)
+    result = run_cli("query", str(path))
+    assert result.returncode == 2
+    assert result.stderr.startswith("input error: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_long_exact_answer_is_written(tmp_path):
+    big = 10 ** 1500
+    path = write_query(tmp_path, {
+        "id": "long", "family": "torus",
+        "payload": {"m": 3, "n": 3, "source_is_torus": True,
+                    "h1": [[big, 0, 0], [0, big, 0], [0, 0, big]]}})
+    result = run_cli("query", path)
+    assert result.returncode == 0
+    # keep the integers as text: 10^4500 is past the int-from-str limit
+    answer = json.loads(result.stdout, parse_int=str)
+    assert answer["invariants"]["mcc"]["value"] == "1" + "0" * 4500
+
+
+def test_dump_keeps_the_input_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert _dump({"v": 10 ** 5000}) == '{\n  "v": 1' + "0" * 5000 + "\n}\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_oriented_target_must_be_boolean():
+    base = {"id": "o", "family": "stiefel", "payload": {"r": 7, "k": 3}}
+    assert run_query(base) == run_query(
+        {**base, "payload": {"r": 7, "k": 3, "oriented_target": False}})
+    with pytest.raises(QueryError, match="oriented_target"):
+        run_query({**base, "payload": {"r": 7, "k": 3,
+                                       "oriented_target": "no"}})
+
+
+def test_general_source_bound_chain_shows_the_det():
+    for rows, det in (([[2, 0], [0, 3]], 6), ([[2, 4, 6], [0, 3, 9]], 6),
+                      ([[4, 6], [2, 3]], 0), ([[0, 0], [0, 0]], 0)):
+        assert abs_det_of_image(IntMatrix.from_rows(rows)) == det
+        answer = run_query({"id": "g", "family": "torus", "payload": {
+            "m": 4, "n": 2, "h1": rows, "source_is_torus": False}})
+        assert answer["warnings"] == [
+            f"Thm3.7 bounds: Reidemeister ≥ |det| = {det} ≥ MCC "
+            "(needs n ≠ 2) ≥ N# ≥ Ñ ≥ N ≥ N^Z"]
 
 
 def test_factbase_lint_shipped():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from coincalc import (
     cokernel,
     cokernel_bruteforce_oracle,
     det_cofactor,
+    invariant_factors,
     smith_normal_form,
 )
 
@@ -117,6 +119,31 @@ def test_snf_factorization_exact(a):
             assert y == 0
         else:
             assert y % x == 0
+
+
+# -- invariant factors without transforms ------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_invariant_factors_match_snf_divisors(a):
+    assert invariant_factors(a) == smith_normal_form(a).divisors
+
+
+def test_invariant_factors_dense_thousand_digits():
+    # oracle independent of the Smith routine: d1 is the gcd of the entries
+    # and d1 * d2 the absolute cofactor determinant
+    rng = random.Random(1000)
+    common = rng.randrange(10 ** 20, 10 ** 21)
+    entries = tuple(common * rng.choice((1, -1))
+                    * rng.randrange(10 ** 978, 10 ** 979) for _ in range(4))
+    assert all(len(str(abs(x))) == 1000 for x in entries)
+    a = IntMatrix(2, 2, entries)
+    det = abs(det_cofactor(a))
+    assert det
+    d1, d2 = invariant_factors(a)
+    assert d1 == math.gcd(*entries)
+    assert d1 * d2 == det
 
 
 # -- abs_det_of_image --------------------------------------------------------
