@@ -41,6 +41,12 @@ FAMILIES = ("torus", "sphere", "spaceform", "projective", "stiefel",
             "wecken", "fixedpoint")
 
 
+# bound on the rows and columns of a torus h1: Smith reduction of a dense
+# 64x64 matrix of 2-digit entries already takes about 0.7 s on a 2-core
+# host, and the time grows steeply with the size
+MAX_MATRIX_DIM = 64
+
+
 class QueryError(DescriptorError):
     """Payload failed schema validation; message names the field."""
 
@@ -79,6 +85,10 @@ def _matrix(payload: dict, field: str, where: str) -> IntMatrix:
             or not all(isinstance(row, list) for row in raw)):
         raise QueryError(f"{where}: field {field!r} must be a nonempty "
                          f"list of rows")
+    if len(raw) > MAX_MATRIX_DIM or any(len(row) > MAX_MATRIX_DIM
+                                        for row in raw):
+        raise QueryError(f"{where}: field {field!r} is limited to "
+                         f"{MAX_MATRIX_DIM} rows and {MAX_MATRIX_DIM} columns")
     try:
         return IntMatrix.from_rows(raw)
     except DescriptorError as exc:
@@ -301,16 +311,82 @@ def run_batch(queries: list, jobs: int = 1) -> list[dict]:
     return [one(q) for q in queries]
 
 
+_escape = json.encoder.encode_basestring_ascii
+_STR_ONLY = frozenset({str})
+
+
+class _Layouts(dict):
+    """For each line prefix nl, made on first use: the strings that lay out
+    a list or dict whose lines continue with nl.  They are the prefix of
+    its items, "[" and "{" with the first item's line break, "," with each
+    further one's, and "]" and "}" on a line of their own."""
+
+    def __missing__(self, nl: str) -> tuple[str, ...]:
+        inner = nl + "  "
+        layout = self[nl] = (inner, "[" + inner, "{" + inner, "," + inner,
+                             nl + "]", nl + "}")
+        return layout
+
+
+def _write(v, nl: str, emit, ints: dict, layouts: _Layouts) -> None:
+    """Pass the JSON text of v, whose lines continue with nl, to emit."""
+    kind = type(v)
+    if kind is str:
+        emit(_escape(v))
+    elif kind is int:
+        text = ints.get(v)
+        if text is None:
+            text = ints[v] = int.__repr__(v)
+        emit(text)
+    elif kind is list:
+        if not v:
+            emit("[]")
+            return
+        inner, sep, _, comma, close, _ = layouts[nl]
+        for item in v:
+            emit(sep)
+            _write(item, inner, emit, ints, layouts)
+            sep = comma
+        emit(close)
+    elif kind is dict and _STR_ONLY.issuperset(map(type, v)):
+        if not v:
+            emit("{}")
+            return
+        inner, _, sep, comma, _, close = layouts[nl]
+        for key in sorted(v):
+            emit(sep)
+            emit(_escape(key))
+            emit(": ")
+            _write(v[key], inner, emit, ints, layouts)
+            sep = comma
+        emit(close)
+    else:
+        emit(json.dumps(v, indent=2, sort_keys=True).replace("\n", nl))
+
+
 def _dump(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With an indent, ``json.dumps`` runs CPython's generator-based encoder
+    in pure Python; ``_write`` walks the answer once instead and appends
+    text fragments to one list, joined at the end.  Strings, exact ints,
+    lists and dicts with string keys are written there; any other value
+    goes to ``json.dumps`` and is re-indented, which is safe since JSON
+    text holds no raw newline.  Each distinct int is converted to decimal
+    once per dump: a torus answer repeats its |det| up to seven times.
+    """
+    out: list[str] = []
     # exact answers may run past CPython's int-to-str digit limit, which
     # guards parsing untrusted input, not printing our own results; lift it
     # for this dump only, so that input parsing stays bounded
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        _write(obj, "\n", out.append, {}, _Layouts())
     finally:
         sys.set_int_max_str_digits(limit)
+    out.append("\n")
+    return "".join(out)
 
 
 # -- entry point -------------------------------------------------------------

@@ -37,6 +37,38 @@ def grassmann_euler(r: int, k: int) -> int:
     return comb(r // 2, k // 2)
 
 
+def _ternary_digit_sum(n: int) -> int:
+    """Sum of the base-3 digits of n >= 0."""
+    total = 0
+    while n:
+        n, low = divmod(n, 3 ** 32)  # peel 32 digits per big division
+        while low:
+            low, digit = divmod(low, 3)
+            total += digit
+    return total
+
+
+def euler_gcd12(r: int, k: int) -> int:
+    """gcd(chi, 12) for chi = grassmann_euler(r, k), and 0 when chi = 0.
+
+    The criterion asks of chi only whether it vanishes and whether 3, 6 or
+    12 divides it, so this residue answers it exactly as chi does, without
+    building a binomial of up to millions of digits.
+    """
+    if not 1 <= k <= r:
+        raise DescriptorError("need 1 <= k <= r")
+    if k % 2 == 1 and r % 2 == 0:
+        return 0
+    a, b = r // 2, k // 2
+    # Kummer: p divides binomial(a, b) once for each carry in adding b and
+    # a - b in base p, that is (s(b) + s(a - b) - s(a)) / (p - 1) times for
+    # the base-p digit sum s
+    twos = b.bit_count() + (a - b).bit_count() - a.bit_count()
+    threes = (_ternary_digit_sum(b) + _ternary_digit_sum(a - b)
+              - _ternary_digit_sum(a)) // 2
+    return 2 ** min(twos, 2) * 3 ** min(threes, 1)
+
+
 _COROLLARY = {2: "Cor1.3", 3: "Cor1.4", 5: "Cor1.5"}
 
 
@@ -45,8 +77,7 @@ def stiefel_selfcoincidence(q: StiefelQuery) -> InvariantBundle:
     by the underlying theorem and stays Unknown.  The answer is identical
     for the oriented and nonoriented Grassmannian (the factor two in the
     criterion already accounts for the double cover)."""
-    chi = grassmann_euler(q.r, q.k)
-    fact = get_factbase().two_chi_so_vanishes(q.k, chi)
+    fact = get_factbase().two_chi_so_vanishes(q.k, euler_gcd12(q.r, q.k))
 
     trace = ["Thm1.2"]
     if q.k in _COROLLARY:

@@ -31,9 +31,6 @@ from .verdict import (
     yes,
 )
 
-_REMARK_131_STEMS = frozenset({3, 7, 10, 11, 13, 15, 18, 19})
-
-
 @dataclass(frozen=True)
 class StableStemEntry:
     k: int
@@ -378,8 +375,3 @@ def kervaire_status(n: int) -> KervaireEntry:
 
 def pinpoint(key: str) -> PinpointGroupFact | None:
     return get_factbase().pinpoint(key)
-
-
-def remark_131_stems() -> frozenset[int]:
-    """Stems k <= 19 whose stable group has an element of order > 2."""
-    return _REMARK_131_STEMS

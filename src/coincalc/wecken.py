@@ -50,9 +50,6 @@ class WeckenQuery:
     target_family: TargetFamily = TargetFamily.SPHERE
     # GeneralN only:
     noncompact_or_chi_zero: Fact = unknown_fact()
-    pi1_size: int | object | None = None
-    orientable: Fact = unknown_fact()
-    closed: bool | None = None
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:

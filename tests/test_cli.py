@@ -4,16 +4,22 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coincalc import IntMatrix, abs_det_of_image
 from coincalc.cli import QueryError, main, run_batch, run_query, _dump
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*args, env_extra=None):
     import os
     env = os.environ.copy()
+    # the child imports coincalc from this checkout, as pytest does
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -153,6 +159,79 @@ def test_dump_keeps_the_input_digit_limit():
     limit = sys.get_int_max_str_digits()
     assert _dump({"v": 10 ** 5000}) == '{\n  "v": 1' + "0" * 5000 + "\n}\n"
     assert sys.get_int_max_str_digits() == limit
+
+
+BIG = 7 ** 6000  # 5,071 digits, past the int-to-str limit
+
+# strings that need escaping: quotes, backslashes, control characters,
+# newlines, non-ASCII and characters outside the basic plane
+TRICKY = ['"', "\\", "\n", "\r\t", "\x00\x1f", "≥ Ñ", "\u2028", "😀", ""]
+
+# built by map, since hypothesis would print a literal BIG in its own repr
+big_ints = st.sampled_from([1, -1, 0]).map(lambda s: s * BIG or 10 ** 4300)
+
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), big_ints,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8), st.sampled_from(TRICKY),
+)
+json_values = st.recursive(json_leaves, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.dictionaries(st.text(max_size=4) | st.sampled_from(TRICKY), kids,
+                    max_size=4),
+    st.dictionaries(st.integers(), kids, max_size=3),  # non-string keys
+), max_leaves=24)
+answers = st.fixed_dictionaries({
+    "id": json_values,  # a user may send any JSON value as the id
+    "factbase_version": st.just("1.0.0"),
+    "invariants": st.dictionaries(
+        st.sampled_from(["mc", "mcc", "n", "reidemeister"]),
+        st.fixed_dictionaries({
+            "value": big_ints | st.sampled_from([0, 6, "infinite",
+                                                 "unknown"]),
+            "trace": st.lists(st.sampled_from(["Thm1.8", "Thm3.7"])),
+        })),
+    "warnings": st.lists(st.text(max_size=8) | st.sampled_from(TRICKY)),
+})
+
+
+def reference_dump(value) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(value, indent=2, sort_keys=True) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values | answers | st.lists(answers, max_size=3))
+@example([BIG, {"a": BIG, "b": [BIG, -BIG]}, BIG])
+@example({"id": 7, "invariants": {}, "warnings": []})
+@example({"id": None, "x": [[], {}, [{}]], "y": {"": [True, 1.5]}})
+def test_dump_matches_json_dumps(value):
+    limit = sys.get_int_max_str_digits()
+    assert _dump(value) == reference_dump(value)
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("rows, m, n", [
+    ([[1]] * 65, 1, 65), ([[1] * 65], 65, 1),
+], ids=["65x1", "1x65"])
+def test_h1_over_64_rows_or_columns_is_input_error(tmp_path, capsys, rows,
+                                                    m, n):
+    path = write_query(tmp_path, {
+        "id": "big", "family": "torus",
+        "payload": {"m": m, "n": n, "h1": rows, "source_is_torus": True}})
+    assert main(["query", path]) == 2
+    assert "limited to 64 rows and 64 columns" in capsys.readouterr().err
+
+
+def test_h1_of_64_rows_and_columns_answers():
+    identity = [[int(i == j) for j in range(64)] for i in range(64)]
+    answer = run_query({"id": "id64", "family": "torus", "payload": {
+        "m": 64, "n": 64, "h1": identity, "source_is_torus": True}})
+    assert answer["invariants"]["mcc"]["value"] == 1
 
 
 def test_oriented_target_must_be_boolean():

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -7,6 +8,7 @@ from coincalc import (
     StiefelQuery,
     UNKNOWN,
     grassmann_euler,
+    stiefel,
     stiefel_selfcoincidence,
     validate_bundle,
 )
@@ -29,6 +31,51 @@ def test_grassmann_euler():
     assert grassmann_euler(23, 11) == comb(11, 5)
     with pytest.raises(DescriptorError):
         grassmann_euler(3, 4)
+
+
+def test_euler_residue_decides_like_exact_chi(monkeypatch):
+    pairs = [(r, k) for r in range(2, 201) for k in range(1, r // 2 + 1)]
+    fast = [stiefel_selfcoincidence(StiefelQuery(r, k)) for r, k in pairs]
+    monkeypatch.setattr(stiefel, "euler_gcd12", grassmann_euler)
+    exact = [stiefel_selfcoincidence(StiefelQuery(r, k)) for r, k in pairs]
+    assert fast == exact
+
+
+def legendre_valuation(a, b, p):
+    """Exponent of p in binomial(a, b) by Legendre's formula."""
+    total, q = 0, p
+    while q <= a:
+        total += a // q - b // q - (a - b) // q
+        q *= p
+    return total
+
+
+def test_euler_residue_on_large_r():
+    # r far past one 32-digit base-3 chunk; half the cases take b digit by
+    # digit at most a in base 3, so that 3 does not divide binomial(a, b)
+    rng = random.Random(5)
+    for case in range(400):
+        a = rng.randrange(1, 10 ** rng.choice((20, 60, 200)))
+        if case % 2:
+            b, a_rest, place = 0, a, 1
+            while a_rest:
+                a_rest, digit = divmod(a_rest, 3)
+                b += rng.randint(0, digit) * place
+                place *= 3
+        else:
+            b = rng.randrange(0, a + 1)
+        r, k = 2 * a + 1, 2 * b + rng.randint(0, 1) or 1
+        expected = (2 ** min(legendre_valuation(a, b, 2), 2)
+                    * 3 ** min(legendre_valuation(a, b, 3), 1))
+        assert stiefel.euler_gcd12(r, k) == expected, (r, k)
+
+
+def test_million_frame_counts_answer():
+    # chi = binomial(2,000,000, 1,000,000) has some 600,000 digits
+    b = stiefel_selfcoincidence(StiefelQuery(4_000_000, 2_000_000))
+    assert b.mcc.value == 0 and "2SOeven" in b.mcc.trace
+    b = stiefel_selfcoincidence(StiefelQuery(4_000_003, 2_000_001))
+    assert b.mcc.value == 0 and "24SO" in b.mcc.trace
 
 
 def test_examples():
