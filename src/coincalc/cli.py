@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import spaceform, sphere, stiefel, torus, wecken
 from .errors import ConsistencyError, DescriptorError, FactBaseError
@@ -293,22 +292,16 @@ def _error_answer(query, message: str) -> dict:
     }
 
 
-def run_batch(queries: list, jobs: int = 1) -> list[dict]:
-    """Evaluate queries (possibly concurrently); answers in input order;
-    a malformed query yields an error answer instead of aborting."""
-
-    def one(query):
+def run_batch(queries: list) -> list[dict]:
+    """Evaluate queries in input order; a malformed query yields an error
+    answer instead of aborting, a ConsistencyError aborts the batch."""
+    answers = []
+    for query in queries:
         try:
-            return run_query(query)
-        except ConsistencyError:
-            raise
+            answers.append(run_query(query))
         except (QueryError, DescriptorError) as exc:
-            return _error_answer(query, str(exc))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, queries))
-    return [one(q) for q in queries]
+            answers.append(_error_answer(query, str(exc)))
+    return answers
 
 
 _escape = json.encoder.encode_basestring_ascii
@@ -404,7 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser("batch", help="answer a JSON array of queries")
     p_batch.add_argument("file")
-    p_batch.add_argument("--jobs", type=int, default=1)
 
     p_wecken = sub.add_parser("wecken", help="decide the Wecken condition")
     p_wecken.add_argument("-m", type=int, required=True)
@@ -465,7 +457,7 @@ def main(argv=None) -> int:
             queries = _load_json(args.file)
             if not isinstance(queries, list):
                 raise QueryError("a batch file must hold a JSON array")
-            out.write(_dump(run_batch(queries, jobs=max(1, args.jobs))))
+            out.write(_dump(run_batch(queries)))
             return 0
         if args.command == "wecken":
             query = {"id": "cli", "family": "wecken",

@@ -186,9 +186,3 @@ REGISTRY: dict[str, str] = {
     "needs:restrictions": "undetermined: can all N# restrictions be "
                           "satisfied?",
 }
-
-
-def check_registered(rule_id: str) -> str:
-    if rule_id not in REGISTRY:
-        raise KeyError(f"unregistered rule identifier: {rule_id!r}")
-    return rule_id

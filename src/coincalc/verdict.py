@@ -129,10 +129,6 @@ UNKNOWN = Special.UNKNOWN
 ExtNat = int | Special
 
 
-def ext_known(value: ExtNat) -> bool:
-    return value is not UNKNOWN
-
-
 def ext_le(a: ExtNat, b: ExtNat) -> bool:
     """a <= b for known extended naturals (INFINITE is the top element)."""
     if a is UNKNOWN or b is UNKNOWN:

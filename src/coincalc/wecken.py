@@ -4,18 +4,17 @@ The Wecken condition for (m, N) asks that the boundary image in the
 homotopy of the fiber sphere meets the suspension kernel trivially; it is
 covering-invariant, so sphere and spherical-space-form targets are decided
 from (m, n) alone.  Dispatch is first-match over the registered rules
-R1..R7 with a startup assertion that overlapping rules agree; R8 is the
-honest fallback Unknown.
+R1..R7, and each query checks that all the rules it fires agree; R8 is
+the honest fallback Unknown.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ConsistencyError, DescriptorError
-from .tables import get_factbase
+from .tables import KervaireStatus, get_factbase
 from .verdict import (
     INFINITE,
     Fact,
@@ -56,6 +55,15 @@ class WeckenQuery:
             raise DescriptorError("dimensions must be >= 1")
 
 
+# R5 on sphere-covered targets, by the status of order-two
+# Kervaire-invariant-one elements in stem 2n-2
+_R5_SPHERE_COVERED = {
+    KervaireStatus.EXISTS_ORDER_TWO_KERVAIRE_ONE: Truth.NO,
+    KervaireStatus.OPEN: Truth.UNKNOWN,
+    KervaireStatus.NONE_EXISTS: Truth.YES,
+}
+
+
 def _rules_fired(q: WeckenQuery) -> list[tuple[str, Truth]]:
     """All rules that fire on the query, as (rule id, verdict) pairs.
 
@@ -86,15 +94,11 @@ def _rules_fired(q: WeckenQuery) -> list[tuple[str, Truth]]:
         elif covered:
             fired.append(("R4", Truth.NO))
     if m == 2 * n - 2 and n % 2 == 0:
-        if n in (2, 4, 8):
+        status = get_factbase().kervaire_status(n).status
+        if status is KervaireStatus.KERNEL_E_ZERO:
             fired.append(("R5", Truth.YES))  # suspension kernel is trivial
         elif covered:
-            if n in (16, 32, 64):
-                fired.append(("R5", Truth.NO))
-            elif n == 128:
-                fired.append(("R5", Truth.UNKNOWN))
-            else:
-                fired.append(("R5", Truth.YES))
+            fired.append(("R5", _R5_SPHERE_COVERED[status]))
     if m == 2 * n - 1 and covered:
         if n % 4 == 2 and n >= 6:
             fired.append(("R6", Truth.NO))
@@ -105,35 +109,35 @@ def _rules_fired(q: WeckenQuery) -> list[tuple[str, Truth]]:
     return fired
 
 
+def _clash(fired: list[tuple[str, Truth]]) -> str | None:
+    """The fired rules as "R2=yes, R4=no" when their verdicts differ."""
+    if len({t for _, t in fired}) > 1:
+        return ", ".join(f"{r}={t.value}" for r, t in fired)
+    return None
+
+
 def overlap_disagreements(limit: int = 64) -> list[str]:
     """Scan the (m, n) grid for overlapping rules that disagree."""
     problems = []
     for n in range(1, limit + 1):
         for m in range(1, limit + 1):
-            fired = _rules_fired(WeckenQuery(m, n, TargetFamily.SPHERE))
-            verdicts = {t for _, t in fired}
-            if len(verdicts) > 1:
-                detail = ", ".join(f"{r}={t.value}" for r, t in fired)
-                problems.append(f"(m={m}, n={n}): {detail}")
+            q = WeckenQuery(m, n, TargetFamily.SPHERE)
+            clash = _clash(_rules_fired(q))
+            if clash:
+                problems.append(f"(m={m}, n={n}): {clash}")
     return problems
 
 
-@lru_cache(maxsize=1)
-def _assert_rule_consistency() -> bool:
-    problems = overlap_disagreements()
-    if problems:
-        raise ConsistencyError(
-            "overlapping Wecken rules disagree: " + "; ".join(problems)
-        )
-    return True
-
-
 def wecken_condition(q: WeckenQuery) -> Fact:
-    """First-match dispatch over R1..R7; R8 (Unknown) when nothing fires."""
-    _assert_rule_consistency()
+    """First-match dispatch over R1..R7; R8 (Unknown) when nothing fires.
+    Raises ConsistencyError when the rules that fire disagree."""
     fired = _rules_fired(q)
     if not fired:
         return unknown_fact(Provenance.rule("R8"))
+    clash = _clash(fired)
+    if clash:
+        raise ConsistencyError(
+            f"overlapping Wecken rules disagree: (m={q.m}, n={q.n}): {clash}")
     rule_id, truth = fired[0]
     return Fact(truth, Provenance.rule(rule_id))
 

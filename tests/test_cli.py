@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -8,13 +9,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coincalc import IntMatrix, abs_det_of_image
-from coincalc.cli import QueryError, main, run_batch, run_query, _dump
+from coincalc.cli import (
+    QueryError,
+    _build_parser,
+    _dump,
+    main,
+    run_batch,
+    run_query,
+)
 
 DATA = Path(__file__).parent / "data"
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
-def run_cli(*args, env_extra=None):
+def run_python(*args, env_extra=None):
     import os
     env = os.environ.copy()
     # the child imports coincalc from this checkout, as pytest does
@@ -23,9 +32,12 @@ def run_cli(*args, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "coincalc.cli", *args],
-        capture_output=True, text=True, env=env,
+        [sys.executable, *args], capture_output=True, text=True, env=env,
     )
+
+
+def run_cli(*args, env_extra=None):
+    return run_python("-m", "coincalc.cli", *args, env_extra=env_extra)
 
 
 def write_query(tmp_path, query):
@@ -318,12 +330,66 @@ def test_golden_corpus_via_cli():
     assert result.stdout == (DATA / "golden_answers.json").read_text()
 
 
-def test_determinism_and_thread_independence():
+def test_batch_is_deterministic():
     queries = json.loads((DATA / "golden_queries.json").read_text())
-    first = _dump(run_batch(queries, jobs=1))
-    second = _dump(run_batch(queries, jobs=1))
-    threaded = _dump(run_batch(queries, jobs=4))
-    assert first == second == threaded
+    assert _dump(run_batch(queries)) == _dump(run_batch(queries))
+
+
+def test_batch_has_no_jobs_flag(tmp_path):
+    path = tmp_path / "batch.json"
+    path.write_text("[]")
+    result = run_cli("batch", str(path), "--jobs", "2")
+    assert result.returncode == 2
+    assert "--jobs" in result.stderr
+
+
+def test_cli_import_starts_no_executor():
+    result = run_python("-c", "import sys, coincalc.cli; "
+                        "print('concurrent.futures' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
+def test_first_wecken_query_runs_no_grid_scan():
+    # the rules each query fires are checked on that query; no process
+    # pays for a scan of the (m, n) grid
+    result = run_python("-c", textwrap.dedent("""
+        from coincalc import wecken
+        def scan(*args, **kwargs):
+            raise AssertionError("overlap scan at run time")
+        wecken.overlap_disagreements = scan
+        fact = wecken.wecken_condition(wecken.WeckenQuery(11, 6))
+        print(fact.truth.value, fact.provenance.ref)
+        """))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "no R4\n"
+
+
+def _parser_synopsis(parser, path=()):
+    """{subcommand path: its flags} for every leaf command of the parser."""
+    import argparse
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _parser_synopsis(child, path + (name,))
+            return
+    flags = {opt for action in parser._actions for opt in action.option_strings
+             if opt not in ("-h", "--help")}
+    yield " ".join(path), flags
+
+
+def test_readme_synopsis_matches_the_parser():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    documented = {}
+    for line in block.splitlines():
+        words = line.split("#")[0].replace("[", " ").replace("]", " ").split()
+        if not words:
+            continue
+        assert words[0] == "coincalc", line
+        command = " ".join(w for w in words[1:] if w.isalpha() and w.islower())
+        documented[command] = {w for w in words[1:] if w.startswith("-")}
+    assert documented == dict(_parser_synopsis(_build_parser()))
 
 
 def test_answer_round_trip():

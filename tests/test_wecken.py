@@ -1,6 +1,7 @@
 import pytest
 
 from coincalc import (
+    ConsistencyError,
     DescriptorError,
     INFINITE,
     TargetFamily,
@@ -14,6 +15,9 @@ from coincalc import (
     user_fact,
     wecken_condition,
 )
+from coincalc import wecken
+from coincalc.cli import main
+from coincalc.verdict import Fact, Provenance
 
 
 def condition(m, n, family=TargetFamily.SPHERE, **kw):
@@ -69,6 +73,42 @@ def test_open_kervaire_row():
 
 def test_overlap_scan_is_clean():
     assert overlap_disagreements() == []
+
+
+def test_disagreeing_rules_are_a_consistency_failure(monkeypatch):
+    monkeypatch.setattr(wecken, "_rules_fired",
+                        lambda q: [("R2", Truth.YES), ("R4", Truth.NO)])
+    with pytest.raises(ConsistencyError,
+                       match=r"\(m=11, n=6\): R2=yes, R4=no"):
+        condition(11, 6)
+    assert main(["wecken", "-m", "11", "-n", "6"]) == 3
+
+
+def listed_r5(n, family):
+    """R5's branches as they listed the Kervaire stems by hand: the
+    reference for R5 read off the fact base's Kervaire status."""
+    if n in (2, 4, 8):
+        return [("R5", Truth.YES)]
+    if family is TargetFamily.GENERAL:
+        return []
+    if n in (16, 32, 64):
+        return [("R5", Truth.NO)]
+    if n == 128:
+        return [("R5", Truth.UNKNOWN)]
+    return [("R5", Truth.YES)]
+
+
+def test_r5_follows_the_kervaire_status():
+    for n in range(2, 513, 2):
+        for family in TargetFamily:
+            for chi_fact in ("yes", "no", "unknown"):
+                q = WeckenQuery(2 * n - 2, n, family, user_fact(chi_fact))
+                fired = wecken._rules_fired(q)
+                expected = listed_r5(n, family)
+                assert [f for f in fired if f[0] == "R5"] == expected, q
+                if fired and fired[0][0] == "R5":
+                    assert wecken_condition(q) == Fact(
+                        expected[0][1], Provenance.rule("R5")), q
 
 
 def test_covering_invariance():
