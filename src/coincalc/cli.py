@@ -40,10 +40,13 @@ FAMILIES = ("torus", "sphere", "spaceform", "projective", "stiefel",
             "wecken", "fixedpoint")
 
 
-# bound on the rows and columns of a torus h1: Smith reduction of a dense
-# 64x64 matrix of 2-digit entries already takes about 0.7 s on a 2-core
-# host, and the time grows steeply with the size
+# bounds on a torus h1, which keep its invariant factors to about a second
+# on a 2-core host.  The slowest matrices within them are 64x64 ones whose
+# rows share a factor, so that the reduction modulo a gcd of (n-1)-minors
+# works with numbers of hundreds of digits: such a matrix of 32,000 digits
+# takes about 1 s, a random one 0.2 s.
 MAX_MATRIX_DIM = 64
+MAX_MATRIX_DIGITS = 32_000  # decimal digits of all entries together
 
 
 class QueryError(DescriptorError):
@@ -89,9 +92,25 @@ def _matrix(payload: dict, field: str, where: str) -> IntMatrix:
         raise QueryError(f"{where}: field {field!r} is limited to "
                          f"{MAX_MATRIX_DIM} rows and {MAX_MATRIX_DIM} columns")
     try:
-        return IntMatrix.from_rows(raw)
+        matrix = IntMatrix.from_rows(raw)
     except DescriptorError as exc:
         raise QueryError(f"{where}: field {field!r}: {exc}") from None
+    entries = matrix.entries
+    # the widest entry settles most matrices without a count per entry
+    widest = _digits(max(max(entries), -min(entries)))
+    if (len(entries) * widest > MAX_MATRIX_DIGITS
+            and sum(map(_digits, entries)) > MAX_MATRIX_DIGITS):
+        raise QueryError(f"{where}: field {field!r} is limited to "
+                         f"{MAX_MATRIX_DIGITS} decimal digits in all")
+    return matrix
+
+
+def _digits(x: int) -> int:
+    """Decimal digits of |x| (1 for 0), read from the bit length, since
+    CPython refuses int-to-str past 4,300 digits."""
+    x = abs(x)
+    d = int(x.bit_length() * 0.30102999566398120)  # log10(2): d or d + 1
+    return max(1, d + (x >= 10 ** d))
 
 
 # -- per-family dispatch ----------------------------------------------------

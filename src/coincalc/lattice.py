@@ -1,14 +1,15 @@
-"""Exact integer linear algebra: Smith normal form, image determinants,
-cokernels, and a brute-force coset-counting oracle.
+"""Exact integer linear algebra: Smith normal form, invariant factors,
+image determinants, cokernels, and a brute-force coset-counting oracle.
 
 Everything runs on Python's arbitrary-precision integers; no intermediate
-value is allowed to overflow because none can.  One gcd-pivot elimination
-routine, ``_reduce``, diagonalizes a matrix in place.  ``smith_normal_form``
-runs it with the U and V transforms, so the factorization D = U * A * V is
-returned and can be checked exactly.  ``invariant_factors`` runs it without
-them, and ``cokernel`` and ``abs_det_of_image`` read only those factors, so
-the torus path never builds transforms, whose entries grow far past the
-input's size.
+value is allowed to overflow because none can.  ``smith_normal_form`` runs
+the gcd-pivot elimination ``_reduce`` with the U and V transforms, so the
+factorization D = U * A * V is returned and can be checked exactly.
+``invariant_factors`` builds no transforms: one fraction-free (Bareiss)
+elimination yields |det| and a multiple of a determinantal divisor, which
+certifies the factors or bounds a Smith reduction modulo that multiple
+(``_smith_mod``), whose entries never outgrow it.  ``cokernel`` and
+``abs_det_of_image`` read only those factors.
 """
 
 from __future__ import annotations
@@ -173,42 +174,34 @@ class SmithNormalForm(NamedTuple):
         return tuple(x for x in (self.d.at(i, i) for i in range(k)) if x)
 
 
-def _reduce(d: list[list[int]], u: list[list[int]] | None = None,
-            v: list[list[int]] | None = None) -> None:
+def _reduce(d: list[list[int]], u: list[list[int]],
+            v: list[list[int]]) -> None:
     """Diagonalize the rows ``d`` in place: afterwards the diagonal is
     nonnegative, sorted by divisibility and zero-padded, and every entry
     off it is zero.  Each row operation is repeated on ``u`` and each column
-    operation on ``v`` when they are given, so that identity starting
-    transforms end as U and V with D = U * A * V."""
+    operation on ``v``, so that identity starting transforms end as U and V
+    with D = U * A * V."""
     r, c = len(d), len(d[0])
 
     def row_sub(i, k, q):  # row_i -= q * row_k
         if q:
             d[i] = [x - q * y for x, y in zip(d[i], d[k])]
-            if u is not None:
-                u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+            u[i] = [x - q * y for x, y in zip(u[i], u[k])]
 
     def col_sub(j, k, q):  # col_j -= q * col_k
         if q:
-            for row in d:
+            for row in itertools.chain(d, v):
                 row[j] -= q * row[k]
-            if v is not None:
-                for row in v:
-                    row[j] -= q * row[k]
 
     def swap_rows(i, k):
         if i != k:
             d[i], d[k] = d[k], d[i]
-            if u is not None:
-                u[i], u[k] = u[k], u[i]
+            u[i], u[k] = u[k], u[i]
 
     def swap_cols(j, k):
         if j != k:
-            for row in d:
+            for row in itertools.chain(d, v):
                 row[j], row[k] = row[k], row[j]
-            if v is not None:
-                for row in v:
-                    row[j], row[k] = row[k], row[j]
 
     t = 0
     while t < min(r, c):
@@ -254,8 +247,7 @@ def _reduce(d: list[list[int]], u: list[list[int]] | None = None,
     for i in range(min(r, c)):
         if d[i][i] < 0:
             d[i] = [-x for x in d[i]]
-            if u is not None:
-                u[i] = [-x for x in u[i]]
+            u[i] = [-x for x in u[i]]
 
 
 def smith_normal_form(a: IntMatrix) -> SmithNormalForm:
@@ -270,13 +262,144 @@ def smith_normal_form(a: IntMatrix) -> SmithNormalForm:
     )
 
 
+def _block_gcd(block: list[list[int]]) -> int:
+    """gcd of every entry of ``block``; stops as soon as it reaches 1."""
+    h = 0
+    for row in block:
+        h = gcd(h, *row)
+        if h == 1:
+            break
+    return h
+
+
+def _xgcd_step(a: int, b: int) -> tuple[int, int, int, int, int]:
+    """(h, s, u, a/h, b/h) for a, b > 0 with h = gcd(a, b) = s*a + u*b, so
+    that [[s, u], [-b/h, a/h]] is unimodular and maps (a, b) to (h, 0)."""
+    h = gcd(a, b)
+    a_h, b_h = a // h, b // h
+    s = pow(a_h, -1, b_h)
+    return h, s, (h - s * a) // b, a_h, b_h
+
+
+def _smith_mod(rows: list[list[int]], g: int) -> tuple[int, ...]:
+    """The invariant factors of [A | g*I] for A = ``rows`` and g >= 1: one
+    per row, gcd(s_i, g) for the invariant factors s_i of A, with g where
+    s_i is 0 or missing.
+
+    The columns g*e_t make every entry of A count only modulo g, so entries
+    stay in [0, g).  Each pivot clears its column and row with 2x2
+    extended-gcd steps (a plain subtraction when it already divides the
+    entry), then takes gcd(pivot, g) from the implicit column g*e_t; a
+    gcd/lcm pass over the diagonal restores the divisibility chain."""
+    block = [[x % g for x in row] for row in rows]
+    diag = []
+    while block and block[0]:
+        pivot = next(((i, j) for i, row in enumerate(block)
+                      for j, x in enumerate(row) if x), None)
+        if pivot is None:
+            break
+        i, j = pivot
+        block[0], block[i] = block[i], block[0]
+        for row in block:
+            row[0], row[j] = row[j], row[0]
+        top = block[0]
+        while True:
+            a = top[0]
+            for i in range(1, len(block)):  # clear the pivot's column
+                row = block[i]
+                b = row[0]
+                if not b:
+                    continue
+                if b % a == 0:
+                    q = b // a
+                    block[i] = [(x - q * y) % g for x, y in zip(row, top)]
+                    continue
+                a, s, u, a_h, b_h = _xgcd_step(a, b)
+                top, block[i] = (
+                    [(s * y + u * x) % g for x, y in zip(row, top)],
+                    [(a_h * x - b_h * y) % g for x, y in zip(row, top)])
+                block[0] = top
+            for j in range(1, len(top)):  # clear the pivot's row
+                b = top[j]
+                if not b:
+                    continue
+                if b % a == 0:
+                    top[j] = 0  # the column below the pivot is zero
+                    continue
+                _, s, u, a_h, b_h = _xgcd_step(a, b)
+                for row in block:
+                    x, y = row[0], row[j]
+                    row[0] = (s * x + u * y) % g
+                    row[j] = (a_h * y - b_h * x) % g
+                break  # the pivot's column has entries below it again
+            else:
+                break
+        diag.append(gcd(a, g))
+        block = [row[1:] for row in block[1:]]
+    diag += [g] * (len(rows) - len(diag))
+    for i in range(len(diag)):  # diagonal to divisibility chain
+        for j in range(i + 1, len(diag)):
+            x, y = diag[i], diag[j]
+            if y % x:
+                h = gcd(x, y)
+                diag[i], diag[j] = h, x // h * y
+    return tuple(diag)
+
+
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     """The nonzero invariant factors d_1 | d_2 | ... of ``a``: the same as
-    ``smith_normal_form(a).divisors``, reduced without the transforms."""
-    d = a.to_rows()
-    _reduce(d)
-    return tuple(x for x in (d[i][i] for i in range(min(a.rows, a.cols)))
-                 if x)
+    ``smith_normal_form(a).divisors``.
+
+    One fraction-free (Bareiss) elimination with complete pivoting gives
+    the rank and, before each step k = 0, 1, ..., a trailing block of
+    (k+1)-minors.  The block before the last step but one holds
+    (rank-1)-minors, so its gcd g is a multiple of the (rank-1)-th
+    determinantal divisor, their gcd over all minors; the gcd G of the
+    block before the last step is a multiple of the rank-th.  A square
+    matrix of full rank with g = 1 has the factors (1, ..., 1, |det|); with
+    g > 1 its first n-1 factors divide g and come from a Smith reduction
+    modulo g, and the last is |det| over their product.  Any other matrix
+    has its factors from a Smith reduction modulo G, or all 1 when G = 1."""
+    rows = a.to_rows()
+    if a.rows > a.cols:  # A and its transpose share invariant factors
+        rows = [list(col) for col in zip(*rows)]
+    block, prev, rank = rows, 1, 0
+    older = old = None  # the blocks before the last two steps
+    while block:
+        pivot = next(((i, j) for i, row in enumerate(block)
+                      for j, x in enumerate(row) if x), None)
+        if pivot is None:
+            break
+        i, j = pivot
+        top = block[i]
+        p = top[j]
+        top = top[:j] + top[j + 1:]
+        nxt = []
+        for row in block[:i] + block[i + 1:]:
+            x0 = row[j]
+            row = row[:j] + row[j + 1:]
+            if x0:
+                nxt.append([(p * x - x0 * y) // prev
+                            for x, y in zip(row, top)])
+            elif p == prev:
+                nxt.append(row)
+            else:
+                nxt.append([p * x // prev for x in row])
+        older, old, block, prev = old, block, nxt, p
+        rank += 1
+    if not rank:
+        return ()
+    if rank == len(rows) == len(rows[0]):
+        det = abs(prev)
+        g = _block_gcd(older) if older else 1
+        if g == 1:
+            return (1,) * (rank - 1) + (det,)
+        head = _smith_mod(rows, g)[:rank - 1]
+        return head + (det // prod(head),)
+    big_g = _block_gcd(old)
+    if big_g == 1:
+        return (1,) * rank
+    return _smith_mod(rows, big_g)[:rank]
 
 
 def abs_det_of_image(a: IntMatrix) -> int:

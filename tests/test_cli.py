@@ -239,6 +239,32 @@ def test_h1_over_64_rows_or_columns_is_input_error(tmp_path, capsys, rows,
     assert "limited to 64 rows and 64 columns" in capsys.readouterr().err
 
 
+def test_h1_over_the_digit_cap_is_input_error(tmp_path, capsys):
+    rows = [[10 ** 7 + i + j for j in range(64)] for i in range(64)]  # 32,768
+    path = write_query(tmp_path, {
+        "id": "digits", "family": "torus",
+        "payload": {"m": 64, "n": 64, "h1": rows, "source_is_torus": True}})
+    assert main(["query", path]) == 2
+    assert "limited to 32000 decimal digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("last, admitted", [
+    (0, True), (-999, True), (10 ** 3, True), (-(10 ** 4), False),
+    (10 ** 4 - 1, True), (10 ** 4, False),
+])
+def test_h1_digit_cap_counts_every_entry(last, admitted):
+    # four 7,999-digit entries (2**26572 has 7,999, 2**26573 has 8,000) and
+    # one more: 31,996 digits plus its own
+    row = [10 ** 7998, -(10 ** 7999 - 1) // 9, 10 ** 7998 + 1, 2 ** 26572]
+    query = {"id": "cap", "family": "torus", "payload": {
+        "m": 5, "n": 1, "h1": [row + [last]], "source_is_torus": True}}
+    if admitted:
+        assert run_query(query)["invariants"]["mcc"]["value"] == 1
+    else:
+        with pytest.raises(QueryError, match="32000 decimal digits"):
+            run_query(query)
+
+
 def test_h1_of_64_rows_and_columns_answers():
     identity = [[int(i == j) for j in range(64)] for i in range(64)]
     answer = run_query({"id": "id64", "family": "torus", "payload": {

@@ -18,6 +18,7 @@ from coincalc import (
     invariant_factors,
     smith_normal_form,
 )
+from coincalc.lattice import _smith_mod
 
 
 def matrices(max_side=4, max_entry=9):
@@ -128,6 +129,120 @@ def test_snf_factorization_exact(a):
 @given(matrices())
 def test_invariant_factors_match_snf_divisors(a):
     assert invariant_factors(a) == smith_normal_form(a).divisors
+
+
+def _with_dependent_row(a):
+    rows = a.to_rows()
+    rows.append([x - 2 * y for x, y in zip(rows[0], rows[-1])])
+    return IntMatrix.from_rows(rows)
+
+
+def _with_scaled_column(args):
+    a, j, f = args
+    rows = a.to_rows()
+    for row in rows:
+        row[j % a.cols] *= f
+    return IntMatrix.from_rows(rows)
+
+
+@st.composite
+def unimodular(draw, n):
+    rows = IntMatrix.identity(n).to_rows()
+    for i, j, c in draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.integers(-2, 2)), max_size=3 * n)):
+        if i != j:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return IntMatrix.from_rows(rows)
+
+
+@st.composite
+def chain_products(draw, max_side=6):
+    """U * D * V with D a chain d_1 | ... | d_n, d_(n-1) > 1 and d_n
+    possibly 0: the gcd of (n-1)-minors exceeds 1 whatever the pivots."""
+    n = draw(st.integers(2, max_side))
+    steps = draw(st.lists(st.sampled_from((1, 1, 2, 3, 5, 6)),
+                          min_size=n, max_size=n))
+    steps[n - 2] = draw(st.sampled_from((2, 3, 4, 9, 10)))
+    chain, acc = [], 1
+    for step in steps:
+        acc *= step
+        chain.append(acc)
+    if draw(st.booleans()):
+        chain[-1] = 0
+    d = IntMatrix.diagonal(chain)
+    return draw(unimodular(n)).mul(d).mul(draw(unimodular(n)))
+
+
+def line_vectors():
+    return st.lists(st.integers(-30, 30), min_size=1, max_size=8).flatmap(
+        lambda xs: st.sampled_from((IntMatrix.from_rows([xs]),
+                                    IntMatrix.from_rows([[x] for x in xs]))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    matrices(max_side=6, max_entry=20),  # square, wide and tall
+    matrices(max_side=5).map(_with_dependent_row),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)).map(
+        lambda rc: IntMatrix.zero(*rc)),
+    line_vectors(),
+    st.tuples(matrices(max_side=6), st.integers(0, 5),
+              st.integers(2, 12)).map(_with_scaled_column),
+    chain_products(),
+))
+def test_invariant_factors_match_snf_divisors_by_shape(a):
+    assert invariant_factors(a) == smith_normal_form(a).divisors
+
+
+def _padded_diagonal(a):
+    """s_1, ..., s_rows of ``a``: the Smith diagonal, 0 past the columns."""
+    d = smith_normal_form(a).d
+    return [d.at(i, i) if i < a.cols else 0 for i in range(a.rows)]
+
+
+@pytest.mark.parametrize("g", [
+    1, 2, 3, 8, 81, 5 ** 4, 360, 10 ** 6 + 3,  # 10**6 + 3 exceeds every entry
+    7 ** 400, 2 ** 300 * 3 ** 200 * 10 ** 150,  # hundreds of digits
+], ids=lambda g: f"{len(str(g))}-digit-{g % 1000}")
+def test_smith_mod_is_gcd_of_factors_and_modulus(g):
+    rng = random.Random(g % 10 ** 9)
+    for _ in range(80):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-40, 40) for _ in range(c)] for _ in range(r)]
+        if rng.random() < 0.3:
+            f = rng.choice((2, 3, 4, 6, 9))
+            for row in rows:
+                row[0] *= f
+        if rng.random() < 0.2 and r > 1:
+            rows[-1] = [x + 3 * y for x, y in zip(rows[0], rows[1])]
+        a = IntMatrix.from_rows(rows)
+        want = tuple(math.gcd(s, g) for s in _padded_diagonal(a))
+        assert _smith_mod(rows, g) == want
+
+
+def test_diagonal_chain_of_thousand_digits():
+    rng = random.Random(1200)
+    chain, acc = [], 1
+    for _ in range(4):
+        acc *= rng.randrange(10 ** 299, 10 ** 300)
+        chain.append(acc)
+    assert len(str(chain[-1])) > 1000
+    for diag in (chain, chain[::-1], chain[1::2] + chain[::2]):
+        a = IntMatrix.diagonal(diag)
+        assert invariant_factors(a) == tuple(chain)
+        assert _smith_mod(a.to_rows(), chain[-1]) == tuple(chain)
+
+
+def test_udv_16x16_with_known_chain():
+    chain = (1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 6, 6, 12, 60, 120, 840)
+    rng = random.Random(16)
+    a = (_random_unimodular(rng, 16, shears=60)
+         .mul(IntMatrix.diagonal(chain))
+         .mul(_random_unimodular(rng, 16, shears=60)))
+    assert len(set(a.entries)) > 20
+    assert invariant_factors(a) == chain
+    assert _smith_mod(a.to_rows(), chain[-1]) == chain
 
 
 def test_invariant_factors_dense_thousand_digits():
