@@ -8,95 +8,59 @@ Wecken condition.  Every answer carries a trace of registered rule
 identifiers; see docs/rules.md.
 """
 
-from .errors import (
-    CoincalcError,
-    ConsistencyError,
-    DescriptorError,
-    FactBaseError,
-)
-from .lattice import (
-    FGAbelianGroup,
-    IntMatrix,
-    SmithNormalForm,
-    abs_det_of_image,
-    cokernel,
-    cokernel_bruteforce_oracle,
-    det_cofactor,
-    invariant_factors,
-    smith_normal_form,
-)
-from .projective import (
-    ProjectiveField,
-    ProjectivePairDescriptor,
-    del_vanishes_by_dimension,
-    projective_classify,
-    projective_invariants,
-)
-from .spaceform import (
-    SelfCoincidenceReport,
-    SpaceFormPairDescriptor,
-    hopf_case,
-    kervaire_case,
-    selfcoincidence_chain,
-    spaceform_mc,
-    spaceform_pair_invariants,
-)
-from .sphere import SphereClassDescriptor, sphere_invariants
-from .stiefel import StiefelQuery, grassmann_euler, stiefel_selfcoincidence
-from .tables import (
-    FactBase,
-    KervaireStatus,
-    get_factbase,
-    kervaire_status,
-    pinpoint,
-    set_factbase,
-    stable_stem,
-    two_chi_so_vanishes,
-)
-from .torus import TorusPairDescriptor, circle_target_mcc, torus_invariants
-from .verdict import (
-    INFINITE,
-    UNKNOWN,
-    Fact,
-    InvariantBundle,
-    Provenance,
-    Truth,
-    Verdict,
-    combine_and,
-    user_fact,
-    validate_bundle,
-)
-from .wecken import (
-    TargetFamily,
-    WeckenQuery,
-    coincidence_producing_criterion,
-    fixed_point_wecken,
-    nielsen_value_set,
-    nsharp_restrictions,
-    overlap_disagreements,
-    wecken_condition,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoincalcError", "ConsistencyError", "DescriptorError", "FactBaseError",
-    "IntMatrix", "FGAbelianGroup", "SmithNormalForm", "smith_normal_form",
-    "abs_det_of_image", "cokernel", "cokernel_bruteforce_oracle",
-    "det_cofactor", "invariant_factors",
-    "Fact", "Truth", "Provenance", "Verdict", "InvariantBundle",
-    "combine_and", "user_fact", "validate_bundle", "INFINITE", "UNKNOWN",
-    "FactBase", "KervaireStatus", "get_factbase", "set_factbase",
-    "stable_stem", "two_chi_so_vanishes", "kervaire_status", "pinpoint",
-    "TorusPairDescriptor", "torus_invariants", "circle_target_mcc",
-    "SphereClassDescriptor", "sphere_invariants",
-    "SpaceFormPairDescriptor", "spaceform_pair_invariants",
-    "selfcoincidence_chain", "SelfCoincidenceReport", "kervaire_case",
-    "hopf_case", "spaceform_mc",
-    "ProjectiveField", "ProjectivePairDescriptor", "projective_classify",
-    "projective_invariants", "del_vanishes_by_dimension",
-    "StiefelQuery", "grassmann_euler", "stiefel_selfcoincidence",
-    "TargetFamily", "WeckenQuery", "wecken_condition",
-    "overlap_disagreements", "coincidence_producing_criterion",
-    "nsharp_restrictions", "nielsen_value_set", "fixed_point_wecken",
-]
+# public name -> the submodule that defines it.  A name is imported on its
+# first use (PEP 562), so that a process loads only the engines it calls.
+_SUBMODULE = {
+    name: module
+    for module, names in (
+        ("errors", ("CoincalcError", "ConsistencyError", "DescriptorError",
+                    "FactBaseError")),
+        ("lattice", ("IntMatrix", "FGAbelianGroup", "SmithNormalForm",
+                     "smith_normal_form", "abs_det_of_image", "cokernel",
+                     "cokernel_bruteforce_oracle", "det_cofactor",
+                     "invariant_factors")),
+        ("verdict", ("Fact", "Truth", "Provenance", "Verdict",
+                     "InvariantBundle", "combine_and", "user_fact",
+                     "validate_bundle", "INFINITE", "UNKNOWN")),
+        ("tables", ("FactBase", "KervaireStatus", "get_factbase",
+                    "set_factbase", "stable_stem", "two_chi_so_vanishes",
+                    "kervaire_status", "pinpoint")),
+        ("torus", ("TorusPairDescriptor", "torus_invariants",
+                   "circle_target_mcc")),
+        ("sphere", ("SphereClassDescriptor", "sphere_invariants")),
+        ("spaceform", ("SpaceFormPairDescriptor", "spaceform_pair_invariants",
+                       "selfcoincidence_chain", "SelfCoincidenceReport",
+                       "kervaire_case", "hopf_case", "spaceform_mc")),
+        ("projective", ("ProjectiveField", "ProjectivePairDescriptor",
+                        "projective_classify", "projective_invariants",
+                        "del_vanishes_by_dimension")),
+        ("stiefel", ("StiefelQuery", "grassmann_euler",
+                     "stiefel_selfcoincidence")),
+        ("wecken", ("TargetFamily", "WeckenQuery", "wecken_condition",
+                    "overlap_disagreements", "coincidence_producing_criterion",
+                    "nsharp_restrictions", "nielsen_value_set",
+                    "fixed_point_wecken")),
+    )
+    for name in names
+}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads find it without this call
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

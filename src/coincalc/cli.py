@@ -14,23 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 
-from . import spaceform, sphere, stiefel, torus, wecken
 from .errors import ConsistencyError, DescriptorError, FactBaseError
-from .lattice import IntMatrix
-from .projective import (
-    ProjectiveField,
-    ProjectivePairDescriptor,
-    projective_invariants,
-)
 from .tables import FactBase, get_factbase, lint_text, set_factbase
 from .verdict import (
     ALL_FIELDS,
     INFINITE,
     UNKNOWN,
     Fact,
-    InvariantBundle,
-    Truth,
     Verdict,
     user_fact,
     validate_bundle,
@@ -38,6 +30,33 @@ from .verdict import (
 
 FAMILIES = ("torus", "sphere", "spaceform", "projective", "stiefel",
             "wecken", "fixedpoint")
+# the values of wecken.TargetFamily, for the parser, which imports no engine
+TARGET_FAMILIES = ("Sphere", "SphericalSpaceForm", "GeneralN")
+
+
+class _Lazy:
+    """Stands in this module's namespace for a submodule not yet imported.
+    The first attribute read imports the submodule and puts it in the
+    stand-in's place, so a process imports only the engines of the families
+    it answers, and later reads cost what they would after an eager import.
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        module = import_module(f"{__package__}.{self._name}")
+        globals()[self._name] = module
+        return getattr(module, attr)
+
+
+lattice = _Lazy("lattice")
+projective = _Lazy("projective")
+spaceform = _Lazy("spaceform")
+sphere = _Lazy("sphere")
+stiefel = _Lazy("stiefel")
+torus = _Lazy("torus")
+wecken = _Lazy("wecken")
 
 
 # bounds on a torus h1, which keep its invariant factors to about a second
@@ -81,7 +100,7 @@ def _fact(payload: dict, field: str, where: str) -> Fact:
                          f"'yes', 'no' or 'unknown'") from None
 
 
-def _matrix(payload: dict, field: str, where: str) -> IntMatrix:
+def _matrix(payload: dict, field: str, where: str) -> lattice.IntMatrix:
     raw = _need(payload, field, list, where)
     if (not isinstance(raw, list) or not raw
             or not all(isinstance(row, list) for row in raw)):
@@ -92,7 +111,7 @@ def _matrix(payload: dict, field: str, where: str) -> IntMatrix:
         raise QueryError(f"{where}: field {field!r} is limited to "
                          f"{MAX_MATRIX_DIM} rows and {MAX_MATRIX_DIM} columns")
     try:
-        matrix = IntMatrix.from_rows(raw)
+        matrix = lattice.IntMatrix.from_rows(raw)
     except DescriptorError as exc:
         raise QueryError(f"{where}: field {field!r}: {exc}") from None
     entries = matrix.entries
@@ -182,8 +201,9 @@ def _run_spaceform(payload: dict):
 
 def _run_projective(payload: dict):
     where = "projective payload"
-    field = ProjectiveField.from_str(_need(payload, "field", str, where))
-    d = ProjectivePairDescriptor(
+    field = projective.ProjectiveField.from_str(
+        _need(payload, "field", str, where))
+    d = projective.ProjectivePairDescriptor(
         field=field,
         n_prime=_need(payload, "n_prime", int, where),
         m=_need(payload, "m", int, where),
@@ -197,6 +217,12 @@ def _run_projective(payload: dict):
         lifts_equal=_fact(payload, "lifts_equal", where),
     )
     return projective_invariants(d), d.n, []
+
+
+def projective_invariants(d):
+    """The projective engine, called through this module's namespace, where
+    perfbench's tracer wraps it."""
+    return projective.projective_invariants(d)
 
 
 def _run_stiefel(payload: dict):
@@ -421,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_wecken.add_argument("-m", type=int, required=True)
     p_wecken.add_argument("-n", type=int, required=True)
     p_wecken.add_argument("--family", default="Sphere",
-                          choices=[f.value for f in wecken.TargetFamily])
+                          choices=TARGET_FAMILIES)
 
     p_stiefel = sub.add_parser(
         "stiefel", help="Stiefel-to-Grassmann selfcoincidence invariants")

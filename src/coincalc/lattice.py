@@ -27,6 +27,8 @@ from .verdict import INFINITE, ExtNat
 # quotient; refuse quotients past desk scale rather than thrash
 _ORACLE_REGION_CAP = 5_000_000
 
+_INT_ONLY = frozenset({int})
+
 
 def _check_int(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
@@ -50,8 +52,12 @@ class IntMatrix:
                 f"expected {self.rows * self.cols} entries, "
                 f"got {len(self.entries)}"
             )
-        for x in self.entries:
-            _check_int(x)
+        # one pass in C over the entry types; an int subclass or a bad
+        # entry falls back to the check per entry, which names the first
+        # bad one
+        if not _INT_ONLY.issuperset(map(type, self.entries)):
+            for x in self.entries:
+                _check_int(x)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":

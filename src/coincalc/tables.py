@@ -16,7 +16,6 @@ import enum
 import json
 import os
 from dataclasses import dataclass
-from importlib import resources
 
 from .errors import DescriptorError, FactBaseError
 from .verdict import (
@@ -95,7 +94,7 @@ class FactBase:
 
     @classmethod
     def bundled_path(cls) -> str:
-        return str(resources.files("coincalc").joinpath("data/factbase.json"))
+        return os.path.join(os.path.dirname(__file__), "data", "factbase.json")
 
     @classmethod
     def default_path(cls) -> str:

@@ -376,6 +376,38 @@ def test_cli_import_starts_no_executor():
     assert result.stdout == "False\n"
 
 
+ENGINES = {f"coincalc.{name}" for name in (
+    "lattice", "torus", "sphere", "spaceform", "projective", "stiefel",
+    "wecken")}
+
+
+def engines_imported(*argv):
+    """The engine modules a coincalc process imports to run argv."""
+    result = run_python("-c", textwrap.dedent(f"""
+        import json, sys
+        from coincalc.cli import main
+        code = main({list(argv)!r})
+        print(json.dumps(list(sys.modules)))
+        sys.exit(code)
+        """))
+    assert result.returncode == 0, result.stderr
+    return ENGINES & set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def test_torus_query_imports_no_other_engine(tmp_path):
+    path = write_query(tmp_path, {
+        "id": "t", "family": "torus",
+        "payload": {"m": 2, "n": 2, "h1": [[2, 0], [0, 3]],
+                    "source_is_torus": True}})
+    assert engines_imported("query", path) == {"coincalc.torus",
+                                               "coincalc.lattice"}
+
+
+def test_wecken_command_imports_no_lattice():
+    assert engines_imported("wecken", "-m", "11", "-n", "6") == {
+        "coincalc.wecken"}
+
+
 def test_first_wecken_query_runs_no_grid_scan():
     # the rules each query fires are checked on that query; no process
     # pays for a scan of the (m, n) grid
@@ -416,6 +448,62 @@ def test_readme_synopsis_matches_the_parser():
         command = " ".join(w for w in words[1:] if w.isalpha() and w.islower())
         documented[command] = {w for w in words[1:] if w.startswith("-")}
     assert documented == dict(_parser_synopsis(_build_parser()))
+
+
+def test_parser_family_choices_are_the_target_families():
+    import argparse
+    from coincalc import wecken
+    parser = _build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    family = next(a for a in commands.choices["wecken"]._actions
+                  if a.dest == "family")
+    assert list(family.choices) == [f.value for f in wecken.TargetFamily]
+
+
+# the attributes that perfbench's tracer (perfbench/spans.py) wraps by name,
+# each with a golden query whose answer has to pass through it
+TRACED = [
+    ("cli", "run_query", "stiefel-5-2"),
+    ("cli", "_run_torus", "torus-diag-2-3"),
+    ("cli", "_run_sphere", "sphere-loose-pair"),
+    ("cli", "_run_spaceform", "spaceform-generic-branch"),
+    ("cli", "_run_projective", "projective-row1"),
+    ("cli", "_run_stiefel", "stiefel-5-2"),
+    ("cli", "_run_wecken_fact", "wecken-11-6"),
+    ("cli", "_run_fixedpoint_fact", "fixedpoint-threefold"),
+    ("cli", "validate_bundle", "sphere-loose-pair"),
+    ("cli", "_dump", "wecken-11-6"),
+    ("cli", "projective_invariants", "projective-row7"),
+    ("torus", "torus_invariants", "torus-3-to-2"),
+    ("torus", "bound_chain_note", "torus-general-surface-witness"),
+    ("sphere", "sphere_invariants", "circle-degrees-2-5"),
+    ("spaceform", "spaceform_pair_invariants", "spaceform-odd-selfpair"),
+    ("stiefel", "stiefel_selfcoincidence", "stiefel-7-3"),
+    ("wecken", "wecken_condition", "wecken-7-5"),
+    ("wecken", "fixed_point_wecken", "fixedpoint-negative-surface"),
+]
+
+
+@pytest.mark.parametrize("module, attr, qid", TRACED,
+                         ids=[f"{m}.{a}" for m, a, _ in TRACED])
+def test_traced_attribute_is_called_by_a_query(module, attr, qid, tmp_path,
+                                               monkeypatch, capsys):
+    import importlib
+    owner = importlib.import_module(f"coincalc.{module}")
+    original = getattr(owner, attr)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, spy)
+    queries = json.loads((DATA / "golden_queries.json").read_text())
+    query = next(q for q in queries if q["id"] == qid)
+    assert main(["query", write_query(tmp_path, query)]) == 0
+    capsys.readouterr()
+    assert calls
 
 
 def test_answer_round_trip():

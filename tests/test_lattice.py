@@ -46,6 +46,23 @@ def test_matrix_validation():
         IntMatrix.from_rows([[True]])  # bools are not integers here
 
 
+@pytest.mark.parametrize("bad", [True, 2.0])
+def test_matrix_check_names_the_first_bad_entry(bad):
+    with pytest.raises(DescriptorError) as exc:
+        IntMatrix(1, 3, (1, bad, "x"))
+    assert str(exc.value) == f"matrix entries must be integers, got {bad!r}"
+
+
+def test_matrix_check_passes_int_subclasses_and_no_bad_entry_after_one():
+    class Int(int):
+        pass
+
+    assert IntMatrix(1, 2, (Int(3), 4)).entries == (3, 4)
+    with pytest.raises(DescriptorError) as exc:
+        IntMatrix(1, 3, (Int(3), 4, 5.0))
+    assert str(exc.value) == "matrix entries must be integers, got 5.0"
+
+
 def test_matrix_accessors():
     m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert m.at(1, 2) == 6

@@ -1,4 +1,6 @@
 import json
+import os
+from importlib import resources
 
 import pytest
 
@@ -103,6 +105,14 @@ def test_every_entry_has_citation():
     for section in ("stable_stems", "framed_so", "pinpoints"):
         for entry in doc[section]:
             assert entry["citation"].strip()
+
+
+def test_bundled_path_is_the_packaged_file():
+    path = FactBase.bundled_path()
+    packaged = resources.files("coincalc").joinpath("data/factbase.json")
+    assert os.path.samefile(path, str(packaged))
+    assert (FactBase.load(path).version
+            == json.loads(packaged.read_text(encoding="utf-8"))["version"])
 
 
 def test_framed_so_divisibility():
