@@ -89,12 +89,8 @@ def _need(payload: dict, field: str, kind, where: str):
 
 
 def _fact(payload: dict, field: str, where: str) -> Fact:
-    raw = payload.get(field, "unknown")
-    if not isinstance(raw, str):
-        raise QueryError(f"{where}: field {field!r} must be "
-                         f"'yes', 'no' or 'unknown'")
     try:
-        return user_fact(raw)
+        return user_fact(payload.get(field, "unknown"))
     except DescriptorError:
         raise QueryError(f"{where}: field {field!r} must be "
                          f"'yes', 'no' or 'unknown'") from None

@@ -10,10 +10,11 @@ the discriminating facts are unknown.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DescriptorError
 from .verdict import (
+    UNKNOWN,
     Fact,
     InvariantBundle,
     Provenance,
@@ -38,10 +39,14 @@ class ProjectiveField(enum.Enum):
 
     @classmethod
     def from_str(cls, text: str) -> "ProjectiveField":
-        for member in cls:
-            if member.letter == text:
-                return member
-        raise DescriptorError("field must be one of 'R', 'C', 'H'")
+        try:
+            return _FIELDS[text]
+        except (KeyError, TypeError):  # TypeError: unhashable input
+            raise DescriptorError(
+                "field must be one of 'R', 'C', 'H'") from None
+
+
+_FIELDS = {field.letter: field for field in ProjectiveField}
 
 
 @dataclass(frozen=True)
@@ -71,19 +76,25 @@ class ProjectivePairDescriptor:
         return self.n_prime * self.field.d
 
 
-def _sync(name_a, a: Fact, name_b, b: Fact, *, rule: Provenance):
+_THM45 = Provenance.rule("Thm4.5")
+_YES_45, _NO_45 = yes(_THM45), no(_THM45)
+
+
+def _sync(name_a, a: Fact, name_b, b: Fact):
     """Two facts that must agree: derive the unknown one, reject conflicts."""
     if a.is_unknown() and not b.is_unknown():
-        return Fact(b.truth, rule), b
+        return (_YES_45 if b.is_yes() else _NO_45), b
     if b.is_unknown() and not a.is_unknown():
-        return a, Fact(a.truth, rule)
+        return a, (_YES_45 if a.is_yes() else _NO_45)
     if not a.is_unknown() and a.truth is not b.truth:
         raise DescriptorError(f"{name_a} and {name_b} must agree")
     return a, b
 
 
-def resolve(d: ProjectivePairDescriptor) -> ProjectivePairDescriptor:
-    rule = Provenance.rule("Thm4.5")
+def _resolve(d: ProjectivePairDescriptor):
+    """The facts fprime_homotopic, lift2_in_ker_del, lift2_in_ker_Edel,
+    lift2_antipodal_selfhomotopic and lifts_equal after the derivations
+    of Thm 4.5."""
     kd, ked = d.lift2_in_ker_del, d.lift2_in_ker_Edel
     if kd.is_yes():
         if ked.is_no():
@@ -93,46 +104,41 @@ def resolve(d: ProjectivePairDescriptor) -> ProjectivePairDescriptor:
                 "its suspension)"
             )
         if ked.is_unknown():
-            ked = yes(rule)
+            ked = _YES_45
     if ked.is_no() and kd.is_unknown():
-        kd = no(rule)
+        kd = _NO_45
 
+    fprime = d.fprime_homotopic
     anti = d.lift2_antipodal_selfhomotopic
     lifts_equal = d.lifts_equal
     if d.field is ProjectiveField.R:
         # antipodal self-homotopy of the lift is detected by the suspended
         # boundary, so the two facts carry the same information
         anti, ked = _sync("lift2_antipodal_selfhomotopic", anti,
-                          "lift2_in_ker_Edel", ked, rule=rule)
+                          "lift2_in_ker_Edel", ked)
         if kd.is_unknown() and ked.is_no():
-            kd = no(rule)
+            kd = _NO_45
     else:
         # downstairs homotopy is equivalent to equality of the lifts
-        lifts_equal, fprime = _sync(
-            "lifts_equal", lifts_equal,
-            "fprime_homotopic", d.fprime_homotopic, rule=rule)
-        return replace(d, lift2_in_ker_del=kd, lift2_in_ker_Edel=ked,
-                       lifts_equal=lifts_equal, fprime_homotopic=fprime)
-    return replace(d, lift2_in_ker_del=kd, lift2_in_ker_Edel=ked,
-                   lift2_antipodal_selfhomotopic=anti)
+        lifts_equal, fprime = _sync("lifts_equal", lifts_equal,
+                                    "fprime_homotopic", fprime)
+    return fprime, kd, ked, anti, lifts_equal
 
 
 def _row_conditions(d: ProjectivePairDescriptor) -> dict[int, Truth]:
-    f = d.fprime_homotopic.truth
-    kd = d.lift2_in_ker_del.truth
-    ked = d.lift2_in_ker_Edel.truth
+    fprime, kd, ked, anti, lifts_equal = _resolve(d)
+    f, kd, ked = fprime.truth, kd.truth, ked.truth
     conds = {
         1: truth_and(f, kd),
         2: truth_and(truth_and(f, ked), truth_not(kd)),
     }
     if d.field is ProjectiveField.R:
-        anti = d.lift2_antipodal_selfhomotopic.truth
         susp = d.lifts_differ_by_suspension.truth
-        conds[3] = truth_and(f, truth_not(anti))
+        conds[3] = truth_and(f, truth_not(anti.truth))
         conds[4] = truth_and(truth_not(f), susp)
         conds[5] = truth_and(truth_not(f), truth_not(susp))
     else:
-        eq = d.lifts_equal.truth
+        eq = lifts_equal.truth
         conds[6] = truth_and(eq, truth_not(ked))
         conds[7] = truth_not(eq)
     return conds
@@ -141,9 +147,6 @@ def _row_conditions(d: ProjectivePairDescriptor) -> dict[int, Truth]:
 def projective_classify(d: ProjectivePairDescriptor):
     """The unique matching row 1..7, or Special.UNKNOWN while the
     discriminating facts are unknown."""
-    from .verdict import UNKNOWN
-
-    d = resolve(d)
     conds = _row_conditions(d)
     matches = [row for row, t in conds.items() if t is Truth.YES]
     if len(matches) > 1:
@@ -172,14 +175,17 @@ _ROW_TRIPLES = {
 }
 
 
-def projective_invariants(d: ProjectivePairDescriptor) -> InvariantBundle:
-    row = projective_classify(d)
-    reid_count = 2 if d.field is ProjectiveField.R else 1
-    reid = Verdict.finite(reid_count, ("Reid3.5",))
-    pending = Verdict.unknown(("Prop7.2-valueset",))
+# the Reidemeister number, for a real target (True) and otherwise
+_REIDEMEISTER = {True: Verdict.finite(2, ("Reid3.5",)),
+                 False: Verdict.finite(1, ("Reid3.5",))}
+_PENDING = Verdict.unknown(("Prop7.2-valueset",))
+_UNCLASSIFIED = Verdict.unknown(("Thm4.5",))
 
-    if not isinstance(row, int):
-        u = Verdict.unknown(("Thm4.5",))
+
+def _row_bundle(reid: Verdict, row) -> InvariantBundle:
+    pending = _PENDING
+    if row is UNKNOWN:
+        u = _UNCLASSIFIED
         return InvariantBundle(mc=u, mcc=u, n_sharp=u, n_tilde=pending,
                                n=pending, n_z=pending, reidemeister=reid)
 
@@ -196,13 +202,27 @@ def projective_invariants(d: ProjectivePairDescriptor) -> InvariantBundle:
     )
 
 
+# the answer for each outcome of the table, keyed by real target first
+_BUNDLES = {
+    real: {row: _row_bundle(reid, row) for row in (*_ROW_TRIPLES, UNKNOWN)}
+    for real, reid in _REIDEMEISTER.items()
+}
+
+
+def projective_invariants(d: ProjectivePairDescriptor) -> InvariantBundle:
+    return _BUNDLES[d.field is ProjectiveField.R][projective_classify(d)]
+
+
+_PROP114 = Provenance.rule("Prop1.14")
+_PROP114_YES, _PROP114_UNKNOWN = yes(_PROP114), unknown_fact(_PROP114)
+
+
 def del_vanishes_by_dimension(field: ProjectiveField, n_prime: int) -> Fact:
     """Vanishing criterion for the boundary homomorphism of KP(n'): Yes
     exactly when n = n'd is not divisible by 2d, i.e. when n' is odd.
     The criterion never proves nonvanishing, so the alternative is Unknown."""
     if n_prime < 1:
         raise DescriptorError("n' must be >= 1")
-    rule = Provenance.rule("Prop1.14")
     if (n_prime * field.d) % (2 * field.d):
-        return yes(rule)
-    return unknown_fact(rule)
+        return _PROP114_YES
+    return _PROP114_UNKNOWN

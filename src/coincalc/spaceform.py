@@ -22,6 +22,7 @@ from .verdict import (
     Truth,
     Verdict,
     no,
+    rule_facts,
     truth_and,
     truth_not,
     unknown_fact,
@@ -68,9 +69,14 @@ class SpaceFormPairDescriptor:
                 )
 
 
+_THM115 = rule_facts("Thm1.15")
+_YES_115, _NO_115 = _THM115[Truth.YES], _THM115[Truth.NO]
+_YES_110 = yes(Provenance.rule("Thm1.10"))
+_YES_43 = yes(Provenance.rule("Prop4.3"))
+
+
 def resolve(d: SpaceFormPairDescriptor) -> SpaceFormPairDescriptor:
     """Apply forced derivations, rejecting contradictory descriptors."""
-    rule = Provenance.rule("Thm1.15")
     del_zero, e_del = d.del_zero, d.e_del_zero
 
     if d.n % 2 == 1:
@@ -80,7 +86,7 @@ def resolve(d: SpaceFormPairDescriptor) -> SpaceFormPairDescriptor:
                 "boundary class vanishes; del_zero cannot be no"
             )
         if del_zero.is_unknown():
-            del_zero = yes(rule)
+            del_zero = _YES_115
     if d.m == 1 or 2 <= d.m < d.n:
         # the boundary homomorphism is zero for m = 1 by convention, and
         # below the target dimension every class already vanishes
@@ -90,16 +96,16 @@ def resolve(d: SpaceFormPairDescriptor) -> SpaceFormPairDescriptor:
                 "del_zero cannot be no"
             )
         if del_zero.is_unknown():
-            del_zero = yes(rule)
+            del_zero = _YES_115
     if del_zero.is_yes():
         if e_del.is_no():
             raise DescriptorError(
                 "del_zero = yes forces e_del_zero = yes (suspension of 0)"
             )
         if e_del.is_unknown():
-            e_del = yes(rule)
+            e_del = _YES_115
     if e_del.is_no() and del_zero.is_unknown():
-        del_zero = no(rule)  # contrapositive
+        del_zero = _NO_115  # contrapositive
 
     homotopic = d.homotopic
     if 2 <= d.m < d.n:
@@ -109,7 +115,7 @@ def resolve(d: SpaceFormPairDescriptor) -> SpaceFormPairDescriptor:
                 "homotopic; homotopic cannot be no"
             )
         if homotopic.is_unknown():
-            homotopic = yes(Provenance.rule("Thm1.10"))
+            homotopic = _YES_110
 
     in_image = d.in_psE_image
     if homotopic.is_yes():
@@ -119,10 +125,28 @@ def resolve(d: SpaceFormPairDescriptor) -> SpaceFormPairDescriptor:
                 "lies in every subgroup: in_psE_image cannot be no"
             )
         if in_image.is_unknown():
-            in_image = yes(Provenance.rule("Prop4.3"))
+            in_image = _YES_43
 
     return replace(d, homotopic=homotopic, del_zero=del_zero,
                    e_del_zero=e_del, in_psE_image=in_image)
+
+
+_UNDECIDED = Verdict.unknown()
+_PENDING = Verdict.unknown(("Prop7.2-valueset",))
+_ZERO_110 = Verdict.finite(0, ("Thm1.10",))
+_ONE_110 = Verdict.finite(1, ("Thm1.10",))
+_NEEDS_DEL = Verdict.unknown(("Thm1.10", "Cor1.19", "needs:del_zero"))
+_NEEDS_E_DEL = Verdict.unknown(("Thm1.10", "needs:e_del_zero"))
+_NEEDS_HOMOTOPIC = Verdict.unknown(("Thm1.10", "needs:homotopic"))
+_EXCEPTION_MCC = Verdict.finite(1, ("Thm1.10", "Cor1.19"))
+_EXCEPTION_N_SHARP = Verdict.finite(0, ("Thm1.10", "Cor1.19"))
+# MC = MCC in the selfcoincidence setting, for each MCC that setting reaches
+_SELF_MC = {
+    mcc: (Verdict(mcc.value, ("Thm1.15",)) if mcc.known()
+          else Verdict.unknown(("Thm1.15",) + mcc.trace[1:]))
+    for mcc in (_EXCEPTION_MCC, _ZERO_110, _ONE_110, _NEEDS_DEL,
+                _NEEDS_E_DEL)
+}
 
 
 def spaceform_pair_invariants(d: SpaceFormPairDescriptor) -> InvariantBundle:
@@ -140,7 +164,7 @@ def spaceform_pair_invariants(d: SpaceFormPairDescriptor) -> InvariantBundle:
     if d.m >= 2:
         reid = Verdict.finite(d.group_order, ("Thm1.10",))
     else:
-        reid = Verdict.unknown()
+        reid = _UNDECIDED
 
     exception = (hom.is_yes() and del_zero.is_no() and e_del.is_yes())
     if exception:
@@ -155,47 +179,38 @@ def spaceform_pair_invariants(d: SpaceFormPairDescriptor) -> InvariantBundle:
                 f"(m, n) = ({d.m}, {d.n}); no such class exists"
             )
         # loose upstairs but coincidence producing downstairs
-        mcc = Verdict.finite(1, ("Thm1.10", "Cor1.19"))
-        n_sharp = Verdict.finite(0, ("Thm1.10", "Cor1.19"))
+        mcc, n_sharp = _EXCEPTION_MCC, _EXCEPTION_N_SHARP
     elif hom.is_yes():
         if e_del.is_yes():
             if del_zero.is_yes():
-                mcc = n_sharp = Verdict.finite(0, ("Thm1.10",))
+                mcc = n_sharp = _ZERO_110
             else:  # del_zero unknown: N# is settled, MCC is not
-                n_sharp = Verdict.finite(0, ("Thm1.10",))
-                mcc = Verdict.unknown(
-                    ("Thm1.10", "Cor1.19", "needs:del_zero"))
+                n_sharp = _ZERO_110
+                mcc = _NEEDS_DEL
         elif e_del.is_no():
-            mcc = n_sharp = Verdict.finite(1, ("Thm1.10",))
+            mcc = n_sharp = _ONE_110
         else:
-            mcc = n_sharp = Verdict.unknown(("Thm1.10", "needs:e_del_zero"))
+            mcc = n_sharp = _NEEDS_E_DEL
     elif hom.is_no():
         if d.m < d.n:
-            mcc = n_sharp = Verdict.finite(0, ("Thm1.10",))
-        else:
-            mcc = n_sharp = Verdict.finite(d.group_order, ("Thm1.10",))
+            mcc = n_sharp = _ZERO_110
+        else:  # the group order, as the Reidemeister number (m >= n >= 2)
+            mcc = n_sharp = reid
     else:
         if d.m < d.n:  # only m = 1 reaches this with homotopic unknown
-            mcc = n_sharp = Verdict.finite(0, ("Thm1.10",))
+            mcc = n_sharp = _ZERO_110
         else:
-            mcc = n_sharp = Verdict.unknown(("Thm1.10", "needs:homotopic"))
+            mcc = n_sharp = _NEEDS_HOMOTOPIC
 
-    mc = _minimum_points(d, mcc)
-    pending = Verdict.unknown(("Prop7.2-valueset",))
+    if hom.is_yes():
+        mc = _SELF_MC[mcc]  # selfcoincidence setting: MC = MCC
+    elif d.n % 2 == 1 and d.n >= 3 and d.m >= 2:
+        mc = _spaceform_mc(d)
+    else:
+        mc = _UNDECIDED
     return InvariantBundle(mc=mc, mcc=mcc, n_sharp=n_sharp,
-                           n_tilde=pending, n=pending, n_z=pending,
+                           n_tilde=_PENDING, n=_PENDING, n_z=_PENDING,
                            reidemeister=reid)
-
-
-def _minimum_points(d: SpaceFormPairDescriptor, mcc: Verdict) -> Verdict:
-    if d.homotopic.is_yes():
-        # selfcoincidence setting: MC = MCC
-        if mcc.known():
-            return Verdict(mcc.value, ("Thm1.15",))
-        return Verdict.unknown(("Thm1.15",) + mcc.trace[1:])
-    if d.n % 2 == 1 and d.n >= 3 and d.m >= 2:
-        return spaceform_mc(d)
-    return Verdict.unknown()
 
 
 def spaceform_mc(d: SpaceFormPairDescriptor) -> Verdict:
@@ -206,16 +221,26 @@ def spaceform_mc(d: SpaceFormPairDescriptor) -> Verdict:
         raise DescriptorError("spaceform_mc needs an odd target, n >= 3")
     if d.m < 2:
         raise DescriptorError("spaceform_mc needs m >= 2")
-    d = resolve(d)
+    return _spaceform_mc(resolve(d))
+
+
+_MC_INFINITE_43 = Verdict.infinite(("Prop4.3",))
+_MC_ZERO_43 = Verdict.finite(0, ("Prop4.3",))
+_MC_NEEDS_IMAGE = Verdict.unknown(("Prop4.3", "needs:in_psE_image"))
+_MC_NEEDS_HOMOTOPIC = Verdict.unknown(("Prop4.3", "needs:homotopic"))
+
+
+def _spaceform_mc(d: SpaceFormPairDescriptor) -> Verdict:
+    """spaceform_mc of a resolved descriptor."""
     if d.in_psE_image.is_no():
-        return Verdict.infinite(("Prop4.3",))
+        return _MC_INFINITE_43
     if d.homotopic.is_yes() or d.m < d.n:
-        return Verdict.finite(0, ("Prop4.3",))
+        return _MC_ZERO_43
     if d.in_psE_image.is_unknown():
-        return Verdict.unknown(("Prop4.3", "needs:in_psE_image"))
+        return _MC_NEEDS_IMAGE
     if d.homotopic.is_no():
         return Verdict.finite(d.group_order, ("Prop4.3",))
-    return Verdict.unknown(("Prop4.3", "needs:homotopic"))
+    return _MC_NEEDS_HOMOTOPIC
 
 
 @dataclass(frozen=True)
@@ -246,27 +271,29 @@ _CHAIN_NOTES = (
 )
 
 
+_NO_COR119 = no(Provenance.rule("Cor1.19"))
+
+
 def selfcoincidence_chain(d: SpaceFormPairDescriptor) -> SelfCoincidenceReport:
     if not d.homotopic.is_yes():
         raise DescriptorError("the selfcoincidence chain needs homotopic = yes")
     d = resolve(d)
-    rule = Provenance.rule("Thm1.15")
-    i = ii = Fact(d.del_zero.truth, rule)
-    iv = v = Fact(d.e_del_zero.truth, rule)
+    i = ii = _THM115[d.del_zero.truth]
+    iv = v = _THM115[d.e_del_zero.truth]
 
     notes = list(_CHAIN_NOTES)
     resolution = None
     if d.del_zero.is_yes():
-        iii = yes(rule)
+        iii = _YES_115
     elif d.e_del_zero.is_no():
-        iii = no(rule)
+        iii = _NO_115
     elif d.group_order != 2:
-        iii = Fact(iv.truth, rule)
+        iii = iv
         notes.append("(iii) <=> (iv) since the group order is not 2")
     else:
-        iii = unknown_fact(rule)
+        iii = _THM115[Truth.UNKNOWN]
         if d.del_zero.is_no() and d.e_del_zero.is_yes():
-            resolution = no(Provenance.rule("Cor1.19"))
+            resolution = _NO_COR119
             notes.append(
                 "(iii) resolved to no by the exceptional-case equivalences"
             )
@@ -280,6 +307,12 @@ def selfcoincidence_chain(d: SpaceFormPairDescriptor) -> SelfCoincidenceReport:
         mcc_zero_by_cor_1_19=resolution,
         implications=tuple(notes),
     )
+
+
+_NO_BROWDER = no(Provenance.rule("Browder"))
+_NO_HHR = no(Provenance.rule("HHR"))
+_HHR_OPEN_UNKNOWN = unknown_fact(Provenance.rule("HHR-open"))
+_THM120 = rule_facts("Thm1.20")
 
 
 def kervaire_case(d: SpaceFormPairDescriptor) -> Fact:
@@ -307,13 +340,15 @@ def kervaire_case(d: SpaceFormPairDescriptor) -> Fact:
                 f"kervaire_one = yes contradicts the vanishing theorem "
                 f"for n = {d.n}"
             )
-        vanishing_rule = "Browder" if d.n & (d.n - 1) else "HHR"
-        kervaire = no(Provenance.rule(vanishing_rule))
+        kervaire = _NO_BROWDER if d.n & (d.n - 1) else _NO_HHR
 
     truth = truth_and(d.e_del_zero.truth, truth_not(kervaire.truth))
     if truth is Truth.UNKNOWN and d.n == 128:
-        return Fact(truth, Provenance.rule("HHR-open"))
-    return Fact(truth, Provenance.rule("Thm1.20"))
+        return _HHR_OPEN_UNKNOWN
+    return _THM120[truth]
+
+
+_THM122 = rule_facts("Thm1.22")
 
 
 def hopf_case(d: SpaceFormPairDescriptor) -> Fact:
@@ -331,5 +366,4 @@ def hopf_case(d: SpaceFormPairDescriptor) -> Fact:
     d = resolve(d)
 
     divisible = Truth.YES if d.hopf_mod4 == 0 else Truth.NO
-    truth = truth_and(d.e_del_zero.truth, divisible)
-    return Fact(truth, Provenance.rule("Thm1.22"))
+    return _THM122[truth_and(d.e_del_zero.truth, divisible)]

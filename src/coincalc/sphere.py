@@ -19,6 +19,7 @@ from .verdict import (
     Provenance,
     Truth,
     Verdict,
+    no,
     unknown_fact,
     yes,
 )
@@ -61,18 +62,21 @@ class _Resolved:
     degree_gap: int | None  # |difference class degree| for m = n = 1
 
 
+_THM17E = Provenance.rule("Thm1.7e")
+_YES_17E, _NO_17E = yes(_THM17E), no(_THM17E)
+
+
 def _resolve(d: SphereClassDescriptor) -> _Resolved:
-    rule = Provenance.rule("Thm1.7e")
     if d.degrees is not None:
         d1, d2 = d.degrees
         antipodal_degree = (-1) ** (d.n + 1)
-        diff = d1 - antipodal_degree * d2
-        t = Truth.NO if diff == 0 else Truth.YES
+        vanishes = d1 == antipodal_degree * d2  # the difference class
+        nonzero = _NO_17E if vanishes else _YES_17E
         return _Resolved(
-            homotopic=Fact(Truth.YES if diff == 0 else Truth.NO, rule),
-            in_suspension=yes(rule),  # suspension is onto pi_n(S^n)
-            stable_nonzero=Fact(t, rule),
-            hopf_james_nonzero=Fact(t, rule),
+            homotopic=_YES_17E if vanishes else _NO_17E,
+            in_suspension=_YES_17E,  # suspension is onto pi_n(S^n)
+            stable_nonzero=nonzero,
+            hopf_james_nonzero=nonzero,
             degree_gap=abs(d1 - d2) if d.n == 1 else None,
         )
 
@@ -94,9 +98,33 @@ def _resolve(d: SphereClassDescriptor) -> _Resolved:
                 "suspension is the first Hopf-James invariant)"
             )
         if hopf_james.is_unknown():
-            hopf_james = yes(rule)
+            hopf_james = _YES_17E
     return _Resolved(homotopic, d.in_suspension_image, stable, hopf_james,
                      degree_gap=None)
+
+
+# the verdicts whose value does not come from the degrees, by rule
+_REID_ONE = Verdict.finite(1, ("Thm1.7a",))
+_REID_INFINITE = Verdict.infinite(("Thm1.7a",))
+_MCC_ZERO = Verdict.finite(0, ("Thm1.7c",))
+_MCC_ONE = Verdict.finite(1, ("Thm1.7c",))
+_MCC_INFINITE = Verdict.infinite(("Thm1.7c",))
+_MCC_UNKNOWN = Verdict.unknown(("Thm1.7c", "needs:f1_homotopic_a_f2"))
+_MC_ZERO = Verdict.finite(0, ("Thm1.7b",))
+_MC_ONE = Verdict.finite(1, ("Thm1.7b",))
+_MC_INFINITE = Verdict.infinite(("Thm1.7b",))
+_MC_UNKNOWN = Verdict.unknown(("Thm1.7b", "needs:f1_homotopic_a_f2"))
+_MC_NEEDS_SUSPENSION = Verdict.unknown(
+    ("Thm1.7b", "needs:in_suspension_image"))
+_ALL_ZERO = Verdict.finite(0, ("Thm1.7d",))
+_NIELSEN_ZERO = Verdict.finite(0, ("Thm1.7e",))
+_NIELSEN_ONE = Verdict.finite(1, ("Thm1.7e",))
+_NEEDS_HOPF_JAMES = Verdict.unknown(
+    ("Thm1.7e", "needs:some_stable_hopf_james_nonzero"))
+_NEEDS_STABLE = Verdict.unknown(
+    ("Thm1.7e", "needs:stable_suspension_nonzero"))
+_NIELSEN_PENDING = Verdict.unknown(("Thm1.7e", "needs:f1_homotopic_a_f2"))
+_NZ_CODIM_ZERO = Verdict.finite(1, ("Ex3.9-derived",))
 
 
 def sphere_invariants(d: SphereClassDescriptor) -> InvariantBundle:
@@ -106,69 +134,65 @@ def sphere_invariants(d: SphereClassDescriptor) -> InvariantBundle:
 
     # Reidemeister number
     if n >= 2:
-        reid = Verdict.finite(1, ("Thm1.7a",))
+        reid = _REID_ONE
     elif m == 1:
         gap = r.degree_gap
-        reid = (Verdict.infinite(("Thm1.7a",)) if gap == 0
+        reid = (_REID_INFINITE if gap == 0
                 else Verdict.finite(gap, ("Thm1.7a",)))
     else:
         # n = 1 < m: both maps are nullhomotopic
-        reid = Verdict.infinite(("Thm1.7a",))
+        reid = _REID_INFINITE
 
     # MCC = N#
     if m == n == 1:
         mcc = Verdict.finite(abs(d.degrees[0] - d.degrees[1]), ("Thm1.7c",))
     elif hom is Truth.YES:
-        mcc = Verdict.finite(0, ("Thm1.7c",))
+        mcc = _MCC_ZERO
     elif hom is Truth.NO:
-        mcc = Verdict(reid.value, ("Thm1.7c",))
+        # the Reidemeister number, 1 or (n = 1 < m) infinite
+        mcc = _MCC_ONE if n >= 2 else _MCC_INFINITE
     else:
-        mcc = Verdict.unknown(("Thm1.7c", "needs:f1_homotopic_a_f2"))
+        mcc = _MCC_UNKNOWN
     n_sharp = mcc
 
     # MC
     if m == n == 1:
         mc = Verdict.finite(abs(d.degrees[0] - d.degrees[1]), ("Thm1.7b",))
     elif hom is Truth.YES:
-        mc = Verdict.finite(0, ("Thm1.7b",))
+        mc = _MC_ZERO
     elif hom is Truth.UNKNOWN:
-        mc = Verdict.unknown(("Thm1.7b", "needs:f1_homotopic_a_f2"))
+        mc = _MC_UNKNOWN
     elif m == n:  # n >= 2, nonzero class, always a suspension
-        mc = Verdict.finite(1, ("Thm1.7b",))
+        mc = _MC_ONE
     else:  # m > n >= 2, nonzero class
         susp = r.in_suspension.truth
         if susp is Truth.YES:
-            mc = Verdict.finite(1, ("Thm1.7b",))
+            mc = _MC_ONE
         elif susp is Truth.NO:
-            mc = Verdict.infinite(("Thm1.7b",))
+            mc = _MC_INFINITE
         else:
-            mc = Verdict.unknown(("Thm1.7b", "needs:in_suspension_image"))
+            mc = _MC_NEEDS_SUSPENSION
 
     # the three weaker Nielsen numbers
     if n == 1 or hom is Truth.YES:
-        # all six minimum/Nielsen numbers coincide
-        base = mc if mc.known() else mcc
-        equal = Verdict(base.value, ("Thm1.7d",))
+        # all six minimum/Nielsen numbers coincide.  MC is known here: the
+        # degree gap on the circle, else 0 (n = 1 < m forces hom = yes)
+        equal = Verdict(mc.value, ("Thm1.7d",)) if m == n == 1 else _ALL_ZERO
         n_tilde = n_ = n_z = equal
     elif hom is Truth.NO:
-        n_tilde = _one_iff(r.hopf_james_nonzero,
-                           "needs:some_stable_hopf_james_nonzero")
-        n_ = _one_iff(r.stable_nonzero, "needs:stable_suspension_nonzero")
-        if m > n:
-            n_z = Verdict.finite(0, ("Thm1.7e",))
-        else:
-            n_z = Verdict.finite(1, ("Ex3.9-derived",))
+        n_tilde = _one_iff(r.hopf_james_nonzero, _NEEDS_HOPF_JAMES)
+        n_ = _one_iff(r.stable_nonzero, _NEEDS_STABLE)
+        n_z = _NIELSEN_ZERO if m > n else _NZ_CODIM_ZERO
     else:
-        pending = Verdict.unknown(("Thm1.7e", "needs:f1_homotopic_a_f2"))
-        n_tilde = n_ = n_z = pending
+        n_tilde = n_ = n_z = _NIELSEN_PENDING
 
     return InvariantBundle(mc=mc, mcc=mcc, n_sharp=n_sharp, n_tilde=n_tilde,
                            n=n_, n_z=n_z, reidemeister=reid)
 
 
-def _one_iff(fact: Fact, needs: str) -> Verdict:
+def _one_iff(fact: Fact, unknown: Verdict) -> Verdict:
     if fact.is_yes():
-        return Verdict.finite(1, ("Thm1.7e",))
+        return _NIELSEN_ONE
     if fact.is_no():
-        return Verdict.finite(0, ("Thm1.7e",))
-    return Verdict.unknown(("Thm1.7e", needs))
+        return _NIELSEN_ZERO
+    return unknown

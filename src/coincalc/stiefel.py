@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import DescriptorError
-from .tables import get_factbase
-from .verdict import InvariantBundle, Truth, Verdict
+from .tables import TWO_CHI_FACTS, get_factbase
+from .verdict import Fact, InvariantBundle, Truth, Verdict
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,14 @@ def euler_gcd12(r: int, k: int) -> int:
 _COROLLARY = {2: "Cor1.3", 3: "Cor1.4", 5: "Cor1.5"}
 
 
-def stiefel_selfcoincidence(q: StiefelQuery) -> InvariantBundle:
-    """One shared verdict for MC, MCC, N#, Ntilde and N; N^Z is not decided
-    by the underlying theorem and stays Unknown.  The answer is identical
-    for the oriented and nonoriented Grassmannian (the factor two in the
-    criterion already accounts for the double cover)."""
-    fact = get_factbase().two_chi_so_vanishes(q.k, euler_gcd12(q.r, q.k))
+_N_Z = Verdict.unknown(("Thm1.2",))
+_UNDECIDED = Verdict.unknown()
 
+
+def _shared_bundle(corollary: str | None, fact: Fact) -> InvariantBundle:
     trace = ["Thm1.2"]
-    if q.k in _COROLLARY:
-        trace.append(_COROLLARY[q.k])
+    if corollary is not None:
+        trace.append(corollary)
     if fact.provenance.kind == "rule":
         trace.append(fact.provenance.ref)
 
@@ -95,6 +93,23 @@ def stiefel_selfcoincidence(q: StiefelQuery) -> InvariantBundle:
 
     return InvariantBundle(
         mc=shared, mcc=shared, n_sharp=shared, n_tilde=shared, n=shared,
-        n_z=Verdict.unknown(("Thm1.2",)),
-        reidemeister=Verdict.unknown(),
+        n_z=_N_Z, reidemeister=_UNDECIDED,
     )
+
+
+# the answer for each corollary (None for k not 2, 3 or 5) and each fact
+# that two_chi_so_vanishes can return
+_BUNDLES = {
+    (corollary, fact): _shared_bundle(corollary, fact)
+    for corollary in (None, *_COROLLARY.values())
+    for fact in TWO_CHI_FACTS
+}
+
+
+def stiefel_selfcoincidence(q: StiefelQuery) -> InvariantBundle:
+    """One shared verdict for MC, MCC, N#, Ntilde and N; N^Z is not decided
+    by the underlying theorem and stays Unknown.  The answer is identical
+    for the oriented and nonoriented Grassmannian (the factor two in the
+    criterion already accounts for the double cover)."""
+    fact = get_factbase().two_chi_so_vanishes(q.k, euler_gcd12(q.r, q.k))
+    return _BUNDLES[_COROLLARY.get(q.k), fact]

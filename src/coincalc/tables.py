@@ -173,47 +173,67 @@ class FactBase:
         """Does 2 * chi * [SO(k)] vanish in the stable stem k(k-1)/2?
 
         Closed-form rules only; odd k >= 11 stays Unknown because the order
-        of the framed class is an open problem there.
+        of the framed class is an open problem there.  The answer is one of
+        TWO_CHI_FACTS.
         """
         if k < 1:
             raise DescriptorError("frame count must be >= 1")
         if chi == 0:
-            return yes(Provenance.rule("chi-zero"))
+            return _CHI_ZERO
         if k == 1:
-            return no(Provenance.rule("SO1-infinite"))
+            return _SO1_INFINITE
         if k % 2 == 0:
-            return yes(Provenance.rule("2SOeven"))
+            return _TWO_SO_EVEN
         if k in (7, 9):
-            return yes(Provenance.rule("SO-nullbordant"))
+            return _SO_NULLBORDANT
         if chi % 12 == 0:
-            return yes(Provenance.rule("24SO"))
+            return _TWENTY_FOUR_SO
         if k == 3:
-            rule = Provenance.rule("SO3-order12")
-            return yes(rule) if chi % 6 == 0 else no(rule)
+            return _SO3_ORDER12_YES if chi % 6 == 0 else _SO3_ORDER12_NO
         if k == 5:
-            rule = Provenance.rule("SO5-order3")
-            return yes(rule) if chi % 3 == 0 else no(rule)
-        return unknown_fact(Provenance.rule("SO-order-open"))
+            return _SO5_ORDER3_YES if chi % 3 == 0 else _SO5_ORDER3_NO
+        return _SO_ORDER_OPEN
 
     def kervaire_status(self, n: int) -> KervaireEntry:
         """Status of order-two Kervaire-invariant-one elements for even n."""
         if n < 2 or n % 2:
             raise DescriptorError("Kervaire status is defined for even n >= 2")
-        if n in (2, 4, 8):
-            return KervaireEntry(n, KervaireStatus.KERNEL_E_ZERO,
-                                 "Adams: Hopf invariant one")
-        if n in (16, 32, 64):
-            return KervaireEntry(
-                n, KervaireStatus.EXISTS_ORDER_TWO_KERVAIRE_ONE,
-                "order-two Kervaire-one elements in stems 30, 62, 126")
-        if n == 128:
-            return KervaireEntry(n, KervaireStatus.OPEN,
-                                 "stem 254 remains open")
+        entry = _KERVAIRE_ENTRIES.get(n)
+        if entry is not None:
+            return entry
         if n & (n - 1):
             return KervaireEntry(n, KervaireStatus.NONE_EXISTS,
                                  "Browder: n is not a power of two")
         return KervaireEntry(n, KervaireStatus.NONE_EXISTS,
                              "Hill-Hopkins-Ravenel: n > 128")
+
+
+# the answers of two_chi_so_vanishes, one fact per rule and truth value
+_CHI_ZERO = yes(Provenance.rule("chi-zero"))
+_SO1_INFINITE = no(Provenance.rule("SO1-infinite"))
+_TWO_SO_EVEN = yes(Provenance.rule("2SOeven"))
+_SO_NULLBORDANT = yes(Provenance.rule("SO-nullbordant"))
+_TWENTY_FOUR_SO = yes(Provenance.rule("24SO"))
+_SO3_ORDER12_YES = yes(Provenance.rule("SO3-order12"))
+_SO3_ORDER12_NO = no(Provenance.rule("SO3-order12"))
+_SO5_ORDER3_YES = yes(Provenance.rule("SO5-order3"))
+_SO5_ORDER3_NO = no(Provenance.rule("SO5-order3"))
+_SO_ORDER_OPEN = unknown_fact(Provenance.rule("SO-order-open"))
+TWO_CHI_FACTS = (_CHI_ZERO, _SO1_INFINITE, _TWO_SO_EVEN, _SO_NULLBORDANT,
+                 _TWENTY_FOUR_SO, _SO3_ORDER12_YES, _SO3_ORDER12_NO,
+                 _SO5_ORDER3_YES, _SO5_ORDER3_NO, _SO_ORDER_OPEN)
+
+# kervaire_status for the n that are not settled by Browder or HHR
+_KERVAIRE_ENTRIES = {
+    n: KervaireEntry(n, status, citation)
+    for ns, status, citation in (
+        ((2, 4, 8), KervaireStatus.KERNEL_E_ZERO, "Adams: Hopf invariant one"),
+        ((16, 32, 64), KervaireStatus.EXISTS_ORDER_TWO_KERVAIRE_ONE,
+         "order-two Kervaire-one elements in stems 30, 62, 126"),
+        ((128,), KervaireStatus.OPEN, "stem 254 remains open"),
+    )
+    for n in ns
+}
 
 
 # -- linter ---------------------------------------------------------------

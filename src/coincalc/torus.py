@@ -55,48 +55,48 @@ class TorusPairDescriptor:
             )
 
 
+_INFINITE_18 = Verdict.infinite(("Thm1.8",))
+_MC_37 = Verdict.unknown(("Thm3.7",))
+_ZERO_37 = Verdict.finite(0, ("Thm3.7",))
+_NEEDS_DET_KILLS_TOP = Verdict.unknown(("Thm3.7", "needs:det_kills_top"))
+_NEEDS_TOP_PULLBACK = Verdict.unknown(
+    ("Thm3.7", "needs:top_cohomology_pullback_nonzero"))
+
+
 def torus_invariants(d: TorusPairDescriptor) -> InvariantBundle:
     card = cokernel(d.h1_matrix).cardinality()
     # |det| of the image is the cokernel order when finite, else 0
     det = 0 if card is INFINITE else card
 
     if d.source_is_torus:
-        reid = Verdict((card), ("Thm1.8",))
         value = Verdict.finite(det, ("Thm1.8",))
-        if d.m == d.n or det == 0:
-            mc = Verdict.finite(det, ("Thm1.8",))
-        else:
-            mc = Verdict.infinite(("Thm1.8",))
+        # the Reidemeister number is the cokernel order, |det| when finite
+        reid = _INFINITE_18 if card is INFINITE else value
+        mc = value if d.m == d.n or det == 0 else _INFINITE_18
         return InvariantBundle(mc=mc, mcc=value, n_sharp=value,
                                n_tilde=value, n=value, n_z=value,
                                reidemeister=reid)
 
     # general closed source: Reidemeister is still the cokernel size
-    reid = Verdict((card), ("Reid3.5", "Thm3.7"))
+    reid = Verdict(card, ("Reid3.5", "Thm3.7"))
     top = d.top_cohomology_pullback_nonzero.truth
 
     if top is Truth.YES:
-        n_z = Verdict.finite(det, ("Thm3.7",))
-    elif top is Truth.NO:
-        if d.det_kills_top.is_yes():
-            n_z = Verdict.finite(0, ("Thm3.7",))
-        else:
-            n_z = Verdict.unknown(("Thm3.7", "needs:det_kills_top"))
-    else:
-        n_z = Verdict.unknown(
-            ("Thm3.7", "needs:top_cohomology_pullback_nonzero"))
-
-    if d.n != 2 and top is Truth.YES:
         value = Verdict.finite(det, ("Thm3.7",))
-        return InvariantBundle(mc=Verdict.unknown(("Thm3.7",)), mcc=value,
-                               n_sharp=value, n_tilde=value, n=value,
-                               n_z=n_z, reidemeister=reid)
+        n_z = value
+        if d.n != 2:
+            return InvariantBundle(mc=_MC_37, mcc=value, n_sharp=value,
+                                   n_tilde=value, n=value, n_z=n_z,
+                                   reidemeister=reid)
+    elif top is Truth.NO:
+        n_z = _ZERO_37 if d.det_kills_top.is_yes() else _NEEDS_DET_KILLS_TOP
+    else:
+        n_z = _NEEDS_TOP_PULLBACK
 
-    pending = Verdict.unknown(
-        ("Thm3.7", "needs:top_cohomology_pullback_nonzero"))
-    return InvariantBundle(mc=Verdict.unknown(("Thm3.7",)), mcc=pending,
-                           n_sharp=pending, n_tilde=pending, n=pending,
-                           n_z=n_z, reidemeister=reid)
+    pending = _NEEDS_TOP_PULLBACK
+    return InvariantBundle(mc=_MC_37, mcc=pending, n_sharp=pending,
+                           n_tilde=pending, n=pending, n_z=n_z,
+                           reidemeister=reid)
 
 
 def bound_chain_note(d: TorusPairDescriptor, det: int) -> str:

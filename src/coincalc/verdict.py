@@ -23,12 +23,7 @@ class Truth(enum.Enum):
 
     @classmethod
     def from_str(cls, text: str) -> "Truth":
-        try:
-            return cls(text)
-        except ValueError:
-            raise DescriptorError(
-                f"truth value must be 'yes', 'no' or 'unknown', got {text!r}"
-            ) from None
+        return user_fact(text).truth
 
 
 def truth_and(a: Truth, b: Truth) -> Truth:
@@ -65,7 +60,7 @@ class Provenance:
 
     @classmethod
     def user(cls) -> "Provenance":
-        return cls("user")
+        return _USER
 
     @classmethod
     def table(cls, entry_id: str) -> "Provenance":
@@ -74,6 +69,9 @@ class Provenance:
     @classmethod
     def rule(cls, rule_id: str) -> "Provenance":
         return cls("rule", rule_id)
+
+
+_USER = Provenance("user")
 
 
 @dataclass(frozen=True)
@@ -100,11 +98,31 @@ def no(provenance: Provenance) -> Fact:
 
 
 def unknown_fact(provenance: Provenance | None = None) -> Fact:
-    return Fact(Truth.UNKNOWN, provenance or Provenance.user())
+    if provenance is None:
+        return _USER_FACTS["unknown"]
+    return Fact(Truth.UNKNOWN, provenance)
+
+
+# the three user facts; facts are immutable, so every answer shares them
+_USER_FACTS = {t.value: Fact(t, _USER) for t in Truth}
 
 
 def user_fact(text: str) -> Fact:
-    return Fact(Truth.from_str(text), Provenance.user())
+    try:
+        return _USER_FACTS[text]
+    except (KeyError, TypeError):  # TypeError: unhashable input
+        raise DescriptorError(
+            f"truth value must be 'yes', 'no' or 'unknown', got {text!r}"
+        ) from None
+
+
+def rule_facts(rule_id: str) -> dict[Truth, Fact]:
+    """The three facts a rule can derive, one per truth value."""
+    provenance = Provenance.rule(rule_id)
+    return {t: Fact(t, provenance) for t in Truth}
+
+
+_KLEENE_AND = rule_facts("kleene-and")
 
 
 def combine_and(facts: Sequence[Fact]) -> Fact:
@@ -114,7 +132,7 @@ def combine_and(facts: Sequence[Fact]) -> Fact:
     truth = Truth.YES
     for f in facts:
         truth = truth_and(truth, f.truth)
-    return Fact(truth, Provenance.rule("kleene-and"))
+    return _KLEENE_AND[truth]
 
 
 class Special(enum.Enum):
@@ -215,6 +233,27 @@ def validate_bundle(bundle: InvariantBundle, target_dim: int) -> list[str]:
     """Check the inequality chain MC >= MCC >= N# >= Ntilde >= N >= N^Z and,
     for target dimension != 2, MCC <= Reidemeister.  Unknown values are
     vacuously compatible.  Returns one message per violated pair."""
+    # <= is a total order on the known values with INFINITE on top, so the
+    # chain holds when each known value is <= the known value before it;
+    # only a failing bundle pays for the scan over all pairs
+    above = INFINITE
+    for value in (bundle.mc.value, bundle.mcc.value, bundle.n_sharp.value,
+                  bundle.n_tilde.value, bundle.n.value, bundle.n_z.value):
+        if value is UNKNOWN:
+            continue
+        if above is not INFINITE and (value is INFINITE or value > above):
+            return _violations(bundle, target_dim)
+        above = value
+    if target_dim != 2:
+        mcc, reid = bundle.mcc.value, bundle.reidemeister.value
+        if (mcc is not UNKNOWN and reid is not UNKNOWN
+                and not ext_le(mcc, reid)):
+            return _violations(bundle, target_dim)
+    return []
+
+
+def _violations(bundle: InvariantBundle, target_dim: int) -> list[str]:
+    """validate_bundle's messages, from every pair of the chain in order."""
     violations = []
     for i in range(len(CHAIN_FIELDS)):
         hi_field, hi_name = CHAIN_FIELDS[i]

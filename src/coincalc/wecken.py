@@ -21,6 +21,7 @@ from .verdict import (
     Provenance,
     Truth,
     no,
+    rule_facts,
     unknown_fact,
     yes,
 )
@@ -33,13 +34,16 @@ class TargetFamily(enum.Enum):
 
     @classmethod
     def from_str(cls, text: str) -> "TargetFamily":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise DescriptorError(
-            "target_family must be 'Sphere', 'SphericalSpaceForm' or "
-            "'GeneralN'"
-        )
+        try:
+            return _TARGET_FAMILIES[text]
+        except (KeyError, TypeError):  # TypeError: unhashable input
+            raise DescriptorError(
+                "target_family must be 'Sphere', 'SphericalSpaceForm' or "
+                "'GeneralN'"
+            ) from None
+
+
+_TARGET_FAMILIES = {family.value: family for family in TargetFamily}
 
 
 @dataclass(frozen=True)
@@ -128,18 +132,23 @@ def overlap_disagreements(limit: int = 64) -> list[str]:
     return problems
 
 
+# the facts R1..R7 can answer with, by rule and truth value; R8 is Unknown
+_RULE_FACTS = {f"R{i}": rule_facts(f"R{i}") for i in range(1, 8)}
+_R8_UNKNOWN = unknown_fact(Provenance.rule("R8"))
+
+
 def wecken_condition(q: WeckenQuery) -> Fact:
     """First-match dispatch over R1..R7; R8 (Unknown) when nothing fires.
     Raises ConsistencyError when the rules that fire disagree."""
     fired = _rules_fired(q)
     if not fired:
-        return unknown_fact(Provenance.rule("R8"))
+        return _R8_UNKNOWN
     clash = _clash(fired)
     if clash:
         raise ConsistencyError(
             f"overlapping Wecken rules disagree: (m={q.m}, n={q.n}): {clash}")
     rule_id, truth = fired[0]
-    return Fact(truth, Provenance.rule(rule_id))
+    return _RULE_FACTS[rule_id][truth]
 
 
 @dataclass(frozen=True)
@@ -156,44 +165,45 @@ class CoincidenceProducingReport:
     implications: tuple[str, ...]
 
 
+_THM126 = rule_facts("Thm1.26")
+_COND127 = rule_facts("Cond1.27")
+
+
 def coincidence_producing_criterion(
     del_zero: Fact, j_injective: Fact, j_of_del_zero: Fact
 ) -> CoincidenceProducingReport:
-    rule = Provenance.rule("Thm1.26")
-
     if del_zero.is_yes():
         if j_of_del_zero.is_no():
             raise DescriptorError(
                 "del_zero = yes forces j_of_del_zero = yes"
             )
         if j_of_del_zero.is_unknown():
-            j_of_del_zero = yes(rule)
+            j_of_del_zero = _THM126[Truth.YES]
     if j_injective.is_yes():
-        collapse = Provenance.rule("Cond1.27")
         if (not del_zero.is_unknown() and not j_of_del_zero.is_unknown()
                 and del_zero.truth is not j_of_del_zero.truth):
             raise DescriptorError(
                 "j injective makes del_zero and j_of_del_zero equivalent"
             )
         if del_zero.is_unknown() and not j_of_del_zero.is_unknown():
-            del_zero = Fact(j_of_del_zero.truth, collapse)
+            del_zero = _COND127[j_of_del_zero.truth]
         if j_of_del_zero.is_unknown() and not del_zero.is_unknown():
-            j_of_del_zero = Fact(del_zero.truth, collapse)
+            j_of_del_zero = _COND127[del_zero.truth]
 
     ii = del_zero
-    iii_second = Fact(j_of_del_zero.truth, rule)
+    iii_second = _THM126[j_of_del_zero.truth]
     iii_prime = iii_second
 
     notes = ["(ii) => (iii) => (iii')", "(iii') <=> (iii'')"]
     if ii.is_yes():
-        iii = yes(rule)
+        iii = _THM126[Truth.YES]
     elif iii_prime.is_no():
-        iii = no(rule)
+        iii = _THM126[Truth.NO]
     elif j_injective.is_yes():
-        iii = Fact(ii.truth, Provenance.rule("Cond1.27"))
+        iii = _COND127[ii.truth]
         notes.append("(ii) <=> (iii'') collapses the chain")
     else:
-        iii = unknown_fact(rule)
+        iii = _THM126[Truth.UNKNOWN]
 
     return CoincidenceProducingReport(
         loose_by_small_deformation=ii,
@@ -202,6 +212,13 @@ def coincidence_producing_criterion(
         j_image_vanishes=iii_second,
         implications=tuple(notes),
     )
+
+
+_NO_THM133A = no(Provenance.rule("Thm1.33a"))
+_NO_THM133B = no(Provenance.rule("Thm1.33b"))
+_NO_THM133C = no(Provenance.rule("Thm1.33c"))
+_NO_THM133D = no(Provenance.rule("Thm1.33d"))
+_UNKNOWN_THM133 = unknown_fact(Provenance.rule("Thm1.33"))
 
 
 def nsharp_restrictions(
@@ -220,19 +237,19 @@ def nsharp_restrictions(
     # (a) dimension parity
     dims_ok = (n % 2 == 0 and m >= n >= 4) or (m == 2 and n == 2)
     if not dims_ok:
-        return no(Provenance.rule("Thm1.33a"))
+        return _NO_THM133A
     # (b) fundamental group
     if pi1_size is INFINITE or (isinstance(pi1_size, int) and pi1_size >= 3):
-        return no(Provenance.rule("Thm1.33b"))
+        return _NO_THM133B
     if pi1_size == 2 and orientable.is_yes():
-        return no(Provenance.rule("Thm1.33b"))
+        return _NO_THM133B
     # (c) closed target with nonzero Euler characteristic and E o del != 0
     if not closed or chi_zero.is_yes() or e_del_nonzero.is_no():
-        return no(Provenance.rule("Thm1.33c"))
+        return _NO_THM133C
     # (d) caller-supplied
     if no_loose_selfmap_and_i_not_onto.is_no():
-        return no(Provenance.rule("Thm1.33d"))
-    return unknown_fact(Provenance.rule("Thm1.33"))
+        return _NO_THM133D
+    return _UNKNOWN_THM133
 
 
 @dataclass(frozen=True)
@@ -262,13 +279,16 @@ def nielsen_value_set(pi1_count: int | object,
     return NielsenValueSet(tuple(values))
 
 
+_EX39 = Provenance.rule("Ex3.9")
+_YES_EX39, _NO_EX39 = yes(_EX39), no(_EX39)
+
+
 def fixed_point_wecken(dim: int, chi: int) -> Fact:
     """Classical fixed point theory: the minimum number of fixed points
     equals the Nielsen number for every selfmap iff the manifold is not a
     surface of strictly negative Euler characteristic."""
     if dim < 1:
         raise DescriptorError("dimension must be >= 1")
-    rule = Provenance.rule("Ex3.9")
     if dim == 2 and chi < 0:
-        return no(rule)
-    return yes(rule)
+        return _NO_EX39
+    return _YES_EX39

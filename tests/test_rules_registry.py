@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
+
+import pytest
 
 from coincalc.rules import REGISTRY
 
-DOCS = Path(__file__).parent.parent / "docs" / "rules.md"
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = ROOT / "docs" / "rules.md"
 
 
 def test_every_rule_is_documented():
@@ -23,3 +30,44 @@ def test_documented_rules_are_registered():
 def test_registry_descriptions_nonempty():
     for rid, description in REGISTRY.items():
         assert description.strip(), rid
+
+
+# ids of facts and verdicts that each module builds once, at import; some
+# sit on branches that only library helpers reach (kleene-and, HHR-open,
+# Prop1.14, Thm1.33d) or that no generated query reaches (R8)
+HOISTED = [
+    ("coincalc.verdict", "kleene-and"),
+    ("coincalc.tables", "SO-order-open"),
+    ("coincalc.torus", "needs:det_kills_top"),
+    ("coincalc.sphere", "Ex3.9-derived"),
+    ("coincalc.spaceform", "HHR-open"),
+    ("coincalc.projective", "Thm4.5"),
+    ("coincalc.projective", "Prop1.14"),
+    ("coincalc.stiefel", "Cor1.5"),
+    ("coincalc.wecken", "R8"),
+    ("coincalc.wecken", "Thm1.33d"),
+]
+
+
+@pytest.mark.parametrize("module, rule_id", HOISTED)
+def test_unregistered_constant_fails_at_import(module, rule_id):
+    # the registry check on a module's constants runs once, when it is
+    # imported: an id missing from REGISTRY stops the import
+    code = textwrap.dedent(f"""
+        from coincalc import rules
+        del rules.REGISTRY[{rule_id!r}]
+        try:
+            import {module}
+        except KeyError as exc:
+            print(exc.args[0])
+        else:
+            print("imported")
+    """)
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() \
+        == f"unregistered rule identifier: {rule_id!r}"

@@ -16,7 +16,7 @@ from coincalc import (
     stable_stem,
     two_chi_so_vanishes,
 )
-from coincalc.tables import lint_text
+from coincalc.tables import TWO_CHI_FACTS, lint_text
 
 # Remark 1.31: stems k <= 19 whose stable group has an element of order > 2
 REMARK_131_STEMS = frozenset({3, 7, 10, 11, 13, 15, 18, 19})
@@ -63,6 +63,14 @@ def test_two_chi_closed_form_rules():
     assert two_chi_so_vanishes(13, 5).is_unknown()
     with pytest.raises(DescriptorError):
         two_chi_so_vanishes(0, 1)
+
+
+def test_two_chi_answers_are_the_listed_facts():
+    # stiefel's answer table is keyed by these facts
+    for k in range(1, 16):
+        for chi in range(30):
+            fact = two_chi_so_vanishes(k, chi)
+            assert any(fact is listed for listed in TWO_CHI_FACTS), (k, chi)
 
 
 def test_kervaire_examples():

@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coincalc import (
     DescriptorError,
@@ -15,7 +18,8 @@ from coincalc import (
     user_fact,
     validate_bundle,
 )
-from coincalc.verdict import truth_and
+from coincalc.cli import QueryError, _fact
+from coincalc.verdict import ALL_FIELDS, CHAIN_FIELDS, ext_le, truth_and
 
 
 def test_combine_and_examples():
@@ -103,3 +107,92 @@ def test_validate_bundle_infinite_is_top():
     b = _bundle(mcc=INFINITE, reidemeister=7)
     assert validate_bundle(b, target_dim=3) \
         == ["Thm3.6(iv): MCC ≤ Reidemeister"]
+
+
+def pairwise_violations(bundle, target_dim):
+    """The chain check as a scan over every pair of known values: the
+    reference for validate_bundle's pass over adjacent known values."""
+    violations = []
+    for i in range(len(CHAIN_FIELDS)):
+        hi_field, hi_name = CHAIN_FIELDS[i]
+        hi = getattr(bundle, hi_field)
+        if not hi.known():
+            continue
+        for j in range(i + 1, len(CHAIN_FIELDS)):
+            lo_field, lo_name = CHAIN_FIELDS[j]
+            lo = getattr(bundle, lo_field)
+            if not lo.known():
+                continue
+            if not ext_le(lo.value, hi.value):
+                violations.append(f"Thm3.6(iii): {hi_name} ≥ {lo_name}")
+    if target_dim != 2:
+        mcc, reid = bundle.mcc, bundle.reidemeister
+        if mcc.known() and reid.known() and not ext_le(mcc.value, reid.value):
+            violations.append("Thm3.6(iv): MCC ≤ Reidemeister")
+    return violations
+
+
+def _values_bundle(values):
+    """Bundle with the given values in ALL_FIELDS order; UNKNOWN for
+    unknown."""
+    return _bundle(**{field: (None if value is UNKNOWN else value)
+                      for (field, _), value in zip(ALL_FIELDS, values)})
+
+
+ASCENDING = (0, 1, 2, 3, 4, INFINITE, 0)  # every pair violated
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from((0, 1, 2, 3, 4, INFINITE, UNKNOWN)),
+                min_size=7, max_size=7),
+       st.sampled_from((1, 2, 3)))
+@example(list(ASCENDING), 3)
+@example([4, UNKNOWN, 0, 2, UNKNOWN, 3, 1], 1)
+@example([1, 3, 2, UNKNOWN, 4, 0, INFINITE], 2)
+def test_validate_bundle_matches_the_pairwise_scan(values, target_dim):
+    bundle = _values_bundle(values)
+    assert validate_bundle(bundle, target_dim) \
+        == pairwise_violations(bundle, target_dim)
+
+
+def test_validate_bundle_reports_every_violation_in_order():
+    b = _values_bundle(ASCENDING)
+    names = [name for _, name in CHAIN_FIELDS]
+    expected = [f"Thm3.6(iii): {hi} ≥ {lo}"
+                for i, hi in enumerate(names) for lo in names[i + 1:]]
+    assert validate_bundle(b, target_dim=3) \
+        == expected + ["Thm3.6(iv): MCC ≤ Reidemeister"]
+    assert validate_bundle(b, target_dim=2) == expected
+
+
+def test_user_facts_are_the_user_provenance_facts():
+    for truth in Truth:
+        assert user_fact(truth.value) == Fact(truth, Provenance.user())
+    assert Provenance.user() == Provenance("user")
+
+
+def test_interned_facts_stay_frozen():
+    fact = user_fact("yes")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fact.truth = Truth.NO
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fact.provenance.kind = "rule"
+    assert user_fact("yes").truth is Truth.YES
+
+
+@pytest.mark.parametrize("raw, shown", [
+    ("Yes", "'Yes'"), (None, "None"), (1, "1"), (["yes"], "['yes']"),
+    ({}, "{}"),
+])
+def test_bad_truth_values_keep_their_messages(raw, shown):
+    message = f"truth value must be 'yes', 'no' or 'unknown', got {shown}"
+    with pytest.raises(DescriptorError) as info:
+        Truth.from_str(raw)
+    assert str(info.value) == message
+    with pytest.raises(DescriptorError) as info:
+        user_fact(raw)
+    assert str(info.value) == message
+    with pytest.raises(QueryError) as info:
+        _fact({"homotopic": raw}, "homotopic", "spaceform payload")
+    assert str(info.value) == ("spaceform payload: field 'homotopic' must be "
+                               "'yes', 'no' or 'unknown'")
