@@ -27,7 +27,7 @@ _SUBMODULE = {
                      "InvariantBundle", "combine_and", "user_fact",
                      "validate_bundle", "INFINITE", "UNKNOWN")),
         ("tables", ("FactBase", "KervaireStatus", "get_factbase",
-                    "set_factbase", "stable_stem", "two_chi_so_vanishes",
+                    "set_factbase", "two_chi_so_vanishes",
                     "kervaire_status", "pinpoint")),
         ("torus", ("TorusPairDescriptor", "torus_invariants",
                    "circle_target_mcc")),

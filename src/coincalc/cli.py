@@ -17,7 +17,7 @@ import sys
 from importlib import import_module
 
 from .errors import ConsistencyError, DescriptorError, FactBaseError
-from .tables import FactBase, get_factbase, lint_text, set_factbase
+from .tables import FactBase, get_factbase, lint_text, read_text, set_factbase
 from .verdict import (
     ALL_FIELDS,
     INFINITE,
@@ -514,13 +514,13 @@ def main(argv=None) -> int:
             return 0
         if args.command == "factbase":
             try:
-                with open(args.file, encoding="utf-8") as handle:
-                    raw = handle.read()
+                problems = lint_text(read_text(args.file))
             except OSError as exc:
                 print(f"cannot read {args.file}: {exc.strerror}",
                       file=sys.stderr)
                 return 2
-            problems = lint_text(raw)
+            except FactBaseError as exc:
+                problems = exc.locations
             if problems:
                 for line, message in problems:
                     where = f"{args.file}:{line}" if line else args.file

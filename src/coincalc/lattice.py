@@ -82,10 +82,6 @@ class IntMatrix:
         return cls(n, n, tuple(diag[i] if i == j else 0
                                for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 

@@ -45,8 +45,6 @@ REGISTRY: dict[str, str] = {
     # spherical space forms
     "Thm1.10": "sphere-to-space-form pairs: MCC = N# four-way case split; "
                "Reidemeister number equals the group order for m, n >= 2",
-    "Thm1.11": "space-form targets: MCC != N# forces the two maps to be "
-               "homotopic",
     "Thm1.15": "selfcoincidence chain (i)-(v): boundary vanishing, looseness "
                "by small deformation, MCC = 0, N# = 0, suspended boundary "
                "vanishing; MC = MCC and all values lie in {0, 1}",
@@ -56,8 +54,6 @@ REGISTRY: dict[str, str] = {
     "Thm1.20": "space forms with m = 2n-2, n even: the pair (f, f) is loose "
                "iff N# vanishes and the Kervaire invariant of the lift "
                "vanishes",
-    "Cor1.21": "order-two elements of Kervaire invariant one exist precisely "
-               "in stems 2n-2 for n = 16, 32, 64 (n = 128 open)",
     "Browder": "the Kervaire invariant vanishes whenever n is not a power "
                "of two",
     "HHR": "the Kervaire invariant vanishes for n > 128",
@@ -66,8 +62,6 @@ REGISTRY: dict[str, str] = {
     "Thm1.22": "space forms with m = 2n-1, n = 2 mod 4, n >= 6: (f, f) is "
                "loose iff N# vanishes and the Hopf invariant of the lift is "
                "divisible by 4",
-    "Cor1.24": "Wecken failure for m = 2n-1 happens exactly when n = 2 mod "
-               "4 and n >= 6",
     "Prop4.3": "odd-dimensional space forms: MC is infinite outside the "
                "suspension-projection image, 0 for homotopic maps or m < n, "
                "the group order otherwise",

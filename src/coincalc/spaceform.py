@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import DescriptorError
-from .tables import KervaireStatus, get_factbase
+from .tables import KervaireStatus, kervaire_status
 from .verdict import (
     Fact,
     InvariantBundle,
@@ -333,7 +333,7 @@ def kervaire_case(d: SpaceFormPairDescriptor) -> Fact:
     d = resolve(d)
 
     kervaire = d.kervaire_one
-    status = get_factbase().kervaire_status(d.n)
+    status = kervaire_status(d.n)
     if status.status is KervaireStatus.NONE_EXISTS:
         if kervaire.is_yes():
             raise DescriptorError(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import DescriptorError
-from .tables import TWO_CHI_FACTS, get_factbase
+from .tables import TWO_CHI_FACTS, two_chi_so_vanishes
 from .verdict import Fact, InvariantBundle, Truth, Verdict
 
 
@@ -111,5 +111,5 @@ def stiefel_selfcoincidence(q: StiefelQuery) -> InvariantBundle:
     by the underlying theorem and stays Unknown.  The answer is identical
     for the oriented and nonoriented Grassmannian (the factor two in the
     criterion already accounts for the double cover)."""
-    fact = get_factbase().two_chi_so_vanishes(q.k, euler_gcd12(q.r, q.k))
+    fact = two_chi_so_vanishes(q.k, euler_gcd12(q.r, q.k))
     return _BUNDLES[_COROLLARY.get(q.k), fact]

@@ -1,13 +1,16 @@
 """The homotopy/bordism fact base.
 
-Mathematical content lives in a versioned JSON file (one entry per line,
-each with a citation); this module only loads it, lints it, and exposes the
-closed-form divisibility rules the engines rely on.  The runtime never infers
-new group structures: a query outside the tabulated range comes back as an
-out-of-range marker or an Unknown fact, never a fabricated value.
+Tabulated facts live in a versioned JSON file (one entry per line, each with
+a citation); this module loads it and lints it on every load.  Answers read
+only its pinpoint entries: Wecken rule R3 reads pi_10(S^6).  Its framed_so
+section is the cited reference that the tests check the closed form
+two_chi_so_vanishes against.  That closed form and kervaire_status are
+plain functions here, so an alternative file cannot change them.  The
+runtime never infers new group structures: pinpoint gives None for a key
+the file lacks, never a fabricated value.
 
 File schema: see docs/factbase.md.  The bundled file can be overridden with
-the NIELSEN_FACTBASE environment variable or the CLI.
+the NIELSEN_FACTBASE environment variable.
 """
 
 from __future__ import annotations
@@ -30,23 +33,6 @@ from .verdict import (
     yes,
 )
 
-@dataclass(frozen=True)
-class StableStemEntry:
-    k: int
-    order: ExtNat  # cardinality of the k-th stable stem
-    exponent_divides_two: Fact  # is 2x = 0 for every element?
-    structure: str
-    citation: str
-
-
-@dataclass(frozen=True)
-class FramedSOEntry:
-    k: int
-    stem: int  # k(k-1)/2
-    order_of_class: ExtNat  # order of the invariantly framed SO(k)
-    citation: str
-    note: str | None = None
-
 
 class KervaireStatus(enum.Enum):
     KERNEL_E_ZERO = "kernel_E_zero"  # n = 2, 4, 8
@@ -67,27 +53,17 @@ class PinpointGroupFact:
     key: str
     is_trivial: Fact
     order: ExtNat
-    extra: str | None
-    citation: str
 
 
-def _ext_nat(raw, *, allow_unknown=False):
-    if raw == "infinite":
-        return INFINITE
-    if raw == "unknown" and allow_unknown:
-        return UNKNOWN
-    if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1:
-        return raw
-    raise ValueError(f"expected a positive integer or marker, got {raw!r}")
+# the order markers a linted file may hold in place of a positive integer
+_ORDER_MARKERS = {"infinite": INFINITE, "unknown": UNKNOWN}
 
 
 class FactBase:
     """Immutable-after-load view of the fact file."""
 
-    def __init__(self, version: str, stems, framed_so, pinpoints):
+    def __init__(self, version: str, pinpoints):
         self.version = version
-        self._stems = {e.k: e for e in stems}
-        self._framed_so = {e.k: e for e in framed_so}
         self._pinpoints = {e.key: e for e in pinpoints}
 
     # -- loading -----------------------------------------------------------
@@ -97,15 +73,9 @@ class FactBase:
         return os.path.join(os.path.dirname(__file__), "data", "factbase.json")
 
     @classmethod
-    def default_path(cls) -> str:
-        return os.environ.get("NIELSEN_FACTBASE") or cls.bundled_path()
-
-    @classmethod
     def load(cls, path: str | None = None) -> "FactBase":
-        path = path or cls.default_path()
-        with open(path, encoding="utf-8") as handle:
-            raw = handle.read()
-        return cls.from_text(raw)
+        path = path or os.environ.get("NIELSEN_FACTBASE") or cls.bundled_path()
+        return cls.from_text(read_text(path))
 
     @classmethod
     def from_text(cls, raw: str) -> "FactBase":
@@ -113,30 +83,6 @@ class FactBase:
         if errors:
             raise FactBaseError(errors)
         doc = json.loads(raw)
-        stems = [
-            StableStemEntry(
-                k=e["k"],
-                order=_ext_nat(e["order"]),
-                exponent_divides_two=Fact(
-                    Truth.from_str(e["exponent_divides_two"]),
-                    Provenance.table(f"stem:{e['k']}"),
-                ),
-                structure=e["structure"],
-                citation=e["citation"],
-            )
-            for e in doc["stable_stems"]
-        ]
-        framed = [
-            FramedSOEntry(
-                k=e["k"],
-                stem=e["stem"],
-                order_of_class=_ext_nat(e["order_of_class"],
-                                        allow_unknown=True),
-                citation=e["citation"],
-                note=e.get("note"),
-            )
-            for e in doc["framed_so"]
-        ]
         pinpoints = [
             PinpointGroupFact(
                 key=e["key"],
@@ -144,69 +90,29 @@ class FactBase:
                     Truth.from_str(e["is_trivial"]),
                     Provenance.table(f"pinpoint:{e['key']}"),
                 ),
-                order=_ext_nat(e["order"], allow_unknown=True),
-                extra=e.get("extra"),
-                citation=e["citation"],
+                order=_ORDER_MARKERS.get(e["order"], e["order"]),
             )
             for e in doc["pinpoints"]
         ]
-        return cls(doc["version"], stems, framed, pinpoints)
-
-    # -- queries -----------------------------------------------------------
-
-    def stable_stem(self, k: int) -> StableStemEntry | None:
-        """Tabulated entry for the k-th stable stem; None beyond the table."""
-        if k < 0:
-            raise DescriptorError("stem index must be nonnegative")
-        return self._stems.get(k)
-
-    def framed_so(self, k: int) -> FramedSOEntry | None:
-        if k < 1:
-            raise DescriptorError("frame count must be >= 1")
-        return self._framed_so.get(k)
+        return cls(doc["version"], pinpoints)
 
     def pinpoint(self, key: str) -> PinpointGroupFact | None:
         """Exact tabulated fact about one named homotopy group, or None."""
         return self._pinpoints.get(key)
 
-    def two_chi_so_vanishes(self, k: int, chi: int) -> Fact:
-        """Does 2 * chi * [SO(k)] vanish in the stable stem k(k-1)/2?
 
-        Closed-form rules only; odd k >= 11 stays Unknown because the order
-        of the framed class is an open problem there.  The answer is one of
-        TWO_CHI_FACTS.
-        """
-        if k < 1:
-            raise DescriptorError("frame count must be >= 1")
-        if chi == 0:
-            return _CHI_ZERO
-        if k == 1:
-            return _SO1_INFINITE
-        if k % 2 == 0:
-            return _TWO_SO_EVEN
-        if k in (7, 9):
-            return _SO_NULLBORDANT
-        if chi % 12 == 0:
-            return _TWENTY_FOUR_SO
-        if k == 3:
-            return _SO3_ORDER12_YES if chi % 6 == 0 else _SO3_ORDER12_NO
-        if k == 5:
-            return _SO5_ORDER3_YES if chi % 3 == 0 else _SO5_ORDER3_NO
-        return _SO_ORDER_OPEN
+def read_text(path: str) -> str:
+    """The text of a fact file.  Raises OSError when it cannot be read and
+    FactBaseError when it is not UTF-8."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FactBaseError([(None, f"not UTF-8 text: {exc}")]) from None
 
-    def kervaire_status(self, n: int) -> KervaireEntry:
-        """Status of order-two Kervaire-invariant-one elements for even n."""
-        if n < 2 or n % 2:
-            raise DescriptorError("Kervaire status is defined for even n >= 2")
-        entry = _KERVAIRE_ENTRIES.get(n)
-        if entry is not None:
-            return entry
-        if n & (n - 1):
-            return KervaireEntry(n, KervaireStatus.NONE_EXISTS,
-                                 "Browder: n is not a power of two")
-        return KervaireEntry(n, KervaireStatus.NONE_EXISTS,
-                             "Hill-Hopkins-Ravenel: n > 128")
 
+# -- closed forms ----------------------------------------------------------
 
 # the answers of two_chi_so_vanishes, one fact per rule and truth value
 _CHI_ZERO = yes(Provenance.rule("chi-zero"))
@@ -223,6 +129,33 @@ TWO_CHI_FACTS = (_CHI_ZERO, _SO1_INFINITE, _TWO_SO_EVEN, _SO_NULLBORDANT,
                  _TWENTY_FOUR_SO, _SO3_ORDER12_YES, _SO3_ORDER12_NO,
                  _SO5_ORDER3_YES, _SO5_ORDER3_NO, _SO_ORDER_OPEN)
 
+
+def two_chi_so_vanishes(k: int, chi: int) -> Fact:
+    """Does 2 * chi * [SO(k)] vanish in the stable stem k(k-1)/2?
+
+    Closed-form rules only; odd k >= 11 stays Unknown because the order of
+    the framed class is an open problem there.  The answer is one of
+    TWO_CHI_FACTS.
+    """
+    if k < 1:
+        raise DescriptorError("frame count must be >= 1")
+    if chi == 0:
+        return _CHI_ZERO
+    if k == 1:
+        return _SO1_INFINITE
+    if k % 2 == 0:
+        return _TWO_SO_EVEN
+    if k in (7, 9):
+        return _SO_NULLBORDANT
+    if chi % 12 == 0:
+        return _TWENTY_FOUR_SO
+    if k == 3:
+        return _SO3_ORDER12_YES if chi % 6 == 0 else _SO3_ORDER12_NO
+    if k == 5:
+        return _SO5_ORDER3_YES if chi % 3 == 0 else _SO5_ORDER3_NO
+    return _SO_ORDER_OPEN
+
+
 # kervaire_status for the n that are not settled by Browder or HHR
 _KERVAIRE_ENTRIES = {
     n: KervaireEntry(n, status, citation)
@@ -236,31 +169,49 @@ _KERVAIRE_ENTRIES = {
 }
 
 
+def kervaire_status(n: int) -> KervaireEntry:
+    """Status of order-two Kervaire-invariant-one elements for even n."""
+    if n < 2 or n % 2:
+        raise DescriptorError("Kervaire status is defined for even n >= 2")
+    entry = _KERVAIRE_ENTRIES.get(n)
+    if entry is not None:
+        return entry
+    if n & (n - 1):
+        return KervaireEntry(n, KervaireStatus.NONE_EXISTS,
+                             "Browder: n is not a power of two")
+    return KervaireEntry(n, KervaireStatus.NONE_EXISTS,
+                         "Hill-Hopkins-Ravenel: n > 128")
+
+
 # -- linter ---------------------------------------------------------------
 
 
-def _entry_line_numbers(raw: str, section: str) -> list[int | None]:
-    """1-based line numbers of the one-per-line entries of a section.
-
-    Works for the shipped layout (every entry object on its own line);
-    degrades to None entries for free-form files.
-    """
+def _entry_line_numbers(raw: str, section: str) -> list[int]:
+    """1-based line numbers of a section's entries when each entry object
+    starts a line of its own, as in the shipped file; else fewer or none."""
     lines = raw.splitlines()
-    start = None
-    for idx, line in enumerate(lines):
-        if f'"{section}"' in line:
-            start = idx + 1
+    start = next((i for i, line in enumerate(lines)
+                  if f'"{section}"' in line), len(lines))
+    numbers = []
+    for i in range(start + 1, len(lines)):
+        stripped = lines[i].lstrip()
+        if stripped.startswith("]"):
             break
-    if start is None:
-        return []
-    numbers: list[int | None] = []
-    for idx in range(start, len(lines)):
-        stripped = lines[idx].strip()
         if stripped.startswith("{"):
-            numbers.append(idx + 1)
-        elif stripped.startswith("]"):
-            break
+            numbers.append(i + 1)
     return numbers
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON true and false are not numbers here
+
+
+def _cited(entry: dict) -> bool:
+    citation = entry.get("citation")
+    return isinstance(citation, str) and bool(citation.strip())
+
+
+_KEYS = ("version", "framed_so", "pinpoints")
 
 
 def lint_text(raw: str) -> list[tuple[int | None, str]]:
@@ -270,57 +221,50 @@ def lint_text(raw: str) -> list[tuple[int | None, str]]:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         return [(exc.lineno, f"not valid JSON: {exc.msg}")]
+    except ValueError as exc:  # an integer past CPython's digit limit
+        return [(None, f"not valid JSON: {exc}")]
+    except RecursionError:
+        return [(None, "not valid JSON: nested too deeply")]
 
-    errors: list[tuple[int | None, str]] = []
+    # the shape first, so that the entry checks below can index freely
+    if not isinstance(doc, dict):
+        return [(None, "the fact base must be a JSON object")]
+    errors: list[tuple[int | None, str]] = [
+        (None, f"unknown top-level key {key!r}")
+        for key in doc if key not in _KEYS]
+    errors += [(None, f"missing top-level key {key!r}")
+               for key in _KEYS if key not in doc]
 
     def fail(section, index, message):
         numbers = _entry_line_numbers(raw, section)
         line = numbers[index] if index < len(numbers) else None
         errors.append((line, f"{section}[{index}]: {message}"))
 
-    for key in ("version", "stable_stems", "framed_so", "pinpoints"):
-        if key not in doc:
-            errors.append((None, f"missing top-level key {key!r}"))
+    version = doc.get("version")
+    if "version" in doc and not (isinstance(version, str) and version):
+        errors.append((None, "version must be a nonempty string"))
+    for section in _KEYS[1:]:
+        entries = doc.get(section, [])
+        if not isinstance(entries, list):
+            errors.append((None, f"{section} must be a list"))
+            continue
+        for i, e in enumerate(entries):
+            if not isinstance(e, dict):
+                fail(section, i, "an entry must be a JSON object")
     if errors:
         return errors
 
     seen_k = set()
-    for i, e in enumerate(doc["stable_stems"]):
-        k = e.get("k")
-        if not isinstance(k, int) or k < 0:
-            fail("stable_stems", i, "k must be a nonnegative integer")
-            continue
-        if k in seen_k:
-            fail("stable_stems", i, f"duplicate stem {k}")
-        seen_k.add(k)
-        order = e.get("order")
-        if order == "infinite":
-            if k != 0:
-                fail("stable_stems", i,
-                     "order may be infinite only for stem 0")
-        elif not isinstance(order, int) or order < 1:
-            fail("stable_stems", i, f"bad order {order!r}")
-        elif k == 0:
-            fail("stable_stems", i, "stem 0 must have infinite order")
-        if e.get("exponent_divides_two") not in ("yes", "no"):
-            fail("stable_stems", i, "exponent_divides_two must be yes/no")
-        if not e.get("citation"):
-            fail("stable_stems", i, "missing citation")
-    missing = set(range(20)) - seen_k
-    if missing:
-        errors.append((None,
-                       f"stable stems 0..19 required; missing {sorted(missing)}"))
-
-    seen_k = set()
     for i, e in enumerate(doc["framed_so"]):
         k = e.get("k")
-        if not isinstance(k, int) or k < 1:
+        if not _is_int(k) or k < 1:
             fail("framed_so", i, "k must be a positive integer")
             continue
         if k in seen_k:
             fail("framed_so", i, f"duplicate frame count {k}")
         seen_k.add(k)
-        if e.get("stem") != k * (k - 1) // 2:
+        stem = e.get("stem")
+        if not _is_int(stem) or stem != k * (k - 1) // 2:
             fail("framed_so", i, f"stem must be k(k-1)/2 = {k * (k - 1) // 2}")
         order = e.get("order_of_class")
         if order == "infinite":
@@ -329,7 +273,7 @@ def lint_text(raw: str) -> list[tuple[int | None, str]]:
                      "only the framed point SO(1) has infinite order")
         elif order == "unknown":
             pass
-        elif not isinstance(order, int) or order < 1:
+        elif not _is_int(order) or order < 1:
             fail("framed_so", i, f"bad order_of_class {order!r}")
         else:
             if k >= 2 and 24 % order:
@@ -338,7 +282,7 @@ def lint_text(raw: str) -> list[tuple[int | None, str]]:
             if k >= 2 and k % 2 == 0 and 2 % order:
                 fail("framed_so", i,
                      f"k even: order_of_class {order} does not divide 2")
-        if not e.get("citation"):
+        if not _cited(e):
             fail("framed_so", i, "missing citation")
 
     seen_keys = set()
@@ -350,12 +294,17 @@ def lint_text(raw: str) -> list[tuple[int | None, str]]:
         if key in seen_keys:
             fail("pinpoints", i, f"duplicate key {key!r}")
         seen_keys.add(key)
-        if e.get("is_trivial") not in ("yes", "no"):
+        trivial = e.get("is_trivial")
+        if trivial not in ("yes", "no"):
             fail("pinpoints", i, "is_trivial must be yes/no")
         order = e.get("order")
-        if e.get("is_trivial") == "yes" and order not in (1, "unknown"):
+        if not (order in ("infinite", "unknown")
+                or _is_int(order) and order >= 1):
+            fail("pinpoints", i, "order must be a positive integer, "
+                                 f"'infinite' or 'unknown', not {order!r}")
+        elif trivial == "yes" and order not in (1, "unknown"):
             fail("pinpoints", i, "a trivial group has order 1")
-        if not e.get("citation"):
+        if not _cited(e):
             fail("pinpoints", i, "missing citation")
 
     return errors
@@ -378,18 +327,6 @@ def set_factbase(fb: FactBase | None) -> None:
     """Install a fact base explicitly (None resets to lazy default)."""
     global _default
     _default = fb
-
-
-def stable_stem(k: int) -> StableStemEntry | None:
-    return get_factbase().stable_stem(k)
-
-
-def two_chi_so_vanishes(k: int, chi: int) -> Fact:
-    return get_factbase().two_chi_so_vanishes(k, chi)
-
-
-def kervaire_status(n: int) -> KervaireEntry:
-    return get_factbase().kervaire_status(n)
 
 
 def pinpoint(key: str) -> PinpointGroupFact | None:

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DescriptorError
-from .tables import KervaireStatus, get_factbase
+from .tables import KervaireStatus, kervaire_status, pinpoint
 from .verdict import (
     INFINITE,
     Fact,
@@ -89,7 +89,7 @@ def _rules_fired(q: WeckenQuery) -> list[tuple[str, Truth]]:
         if (m, n) != (10, 6):
             fired.append(("R3", Truth.YES))
         elif covered:
-            entry = get_factbase().pinpoint("pi_10_S^6")
+            entry = pinpoint("pi_10_S^6")
             if entry is not None and entry.is_trivial.is_yes():
                 fired.append(("R3", Truth.YES))
     if m == n + 5:
@@ -98,7 +98,7 @@ def _rules_fired(q: WeckenQuery) -> list[tuple[str, Truth]]:
         elif covered:
             fired.append(("R4", Truth.NO))
     if m == 2 * n - 2 and n % 2 == 0:
-        status = get_factbase().kervaire_status(n).status
+        status = kervaire_status(n).status
         if status is KervaireStatus.KERNEL_E_ZERO:
             fired.append(("R5", Truth.YES))  # suspension kernel is trivial
         elif covered:

@@ -318,7 +318,7 @@ def test_criterion_8_factbase_linter():
         if entry["k"] == 3:
             entry["order_of_class"] = 5  # violates 24-divisibility
     lines = ['{', f'  "version": {json.dumps(doc["version"])},']
-    for section in ("stable_stems", "framed_so", "pinpoints"):
+    for section in ("framed_so", "pinpoints"):
         tail = "," if section != "pinpoints" else ""
         body = ",\n".join(f"    {json.dumps(e)}" for e in doc[section])
         lines.append(f'  "{section}": [\n{body}\n  ]{tail}')

@@ -307,7 +307,7 @@ def test_factbase_lint_broken(tmp_path):
             e["order_of_class"] = 7
     path = tmp_path / "bad.json"
     lines = ['{', '  "version": "0.0.1",']
-    for section in ("stable_stems", "framed_so", "pinpoints"):
+    for section in ("framed_so", "pinpoints"):
         tail = "," if section != "pinpoints" else ""
         body = ",\n".join(f"    {json.dumps(e)}" for e in doc[section])
         lines.append(f'  "{section}": [\n{body}\n  ]{tail}')
@@ -323,13 +323,63 @@ def test_corrupt_factbase_is_internal_failure(tmp_path):
     # a fact base that fails its own linter must never answer queries
     from coincalc.tables import FactBase
     doc = json.loads(Path(FactBase.bundled_path()).read_text())
-    doc["stable_stems"] = doc["stable_stems"][:5]
-    path = tmp_path / "short.json"
+    doc["pinpoints"][0]["is_trivial"] = "maybe"
+    path = tmp_path / "corrupt.json"
     path.write_text(json.dumps(doc))
     result = run_cli("stiefel", "-r", "5", "-k", "2",
                      env_extra={"NIELSEN_FACTBASE": str(path)})
     assert result.returncode == 3
     assert "rejected" in result.stderr
+
+
+def _shipped_factbase(**changes):
+    from coincalc.tables import FactBase
+    doc = json.loads(Path(FactBase.bundled_path()).read_text())
+    for where, value in changes.items():
+        section, _, field = where.partition("__")
+        if field:
+            doc[section][0][field] = value
+        else:
+            doc[section] = value
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'"fact base"', "must be a JSON object"),
+    (b"[]", "must be a JSON object"),
+    (_shipped_factbase(pinpoints={}), "pinpoints must be a list"),
+    (_shipped_factbase(framed_so=[None]), "framed_so[0]: an entry must be"),
+    (_shipped_factbase(pinpoints=[7]), "pinpoints[0]: an entry must be"),
+    (_shipped_factbase(pinpoints__order=0), "pinpoints[0]: order must be"),
+    (_shipped_factbase(pinpoints__order=True), "pinpoints[0]: order must be"),
+    (_shipped_factbase(framed_so__k=True), "framed_so[0]: k must be"),
+    (_shipped_factbase(framed_so__order_of_class=True),
+     "framed_so[0]: bad order_of_class True"),
+    (_shipped_factbase(version=""), "version must be a nonempty string"),
+    (_shipped_factbase(version=100), "version must be a nonempty string"),
+    (_shipped_factbase(stable_stems=[]),
+     "unknown top-level key 'stable_stems'"),
+    (b"\xff\xfe{}", "not UTF-8 text"),
+    (b'{"version": ' + b"1" * 5000 + b"}", "not valid JSON"),
+    (b"[" * 100_000 + b"]" * 100_000, "not valid JSON: nested too deeply"),
+], ids=["string", "array", "section-not-a-list", "null-entry",
+        "integer-entry", "order-zero", "order-true", "k-true",
+        "framed-order-true", "empty-version", "integer-version",
+        "old-stable-stems", "not-utf8", "huge-integer", "deep-nesting"])
+def test_malformed_factbase_is_rejected_cleanly(tmp_path, monkeypatch,
+                                                capsys, content, message):
+    # the linter names the fault, and the loader never meets a file it
+    # passed but cannot read
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["factbase", "lint", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and f"{path}" in err
+    monkeypatch.setenv("NIELSEN_FACTBASE", str(path))
+    assert main(["wecken", "-m", "3", "-n", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("fact base rejected: ")
+    assert message in err
 
 
 def test_factbase_env_override(tmp_path):

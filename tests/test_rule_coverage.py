@@ -26,12 +26,11 @@ SEED = 1
 # Registered ids that no query of the corpus reaches, in REGISTRY order:
 # library-only helpers (kleene-and, Cor3.8, the Kervaire and Hopf cases
 # Thm1.20 and Thm1.22 with Browder, HHR and HHR-open, Prop1.14,
-# Thm1.26/Cond1.27, Thm1.33*, Thm1.34), ids that no code emits (Thm1.11,
-# Cor1.21, Cor1.24), and rules and needs: ids that the generated payloads
-# do not reach.
+# Thm1.26/Cond1.27, Thm1.33*, Thm1.34), and rules and needs: ids that the
+# generated payloads do not reach.
 NEVER_EMITTED = frozenset({
-    "kleene-and", "Cor3.8", "Thm1.11", "Thm1.20", "Cor1.21", "Browder",
-    "HHR", "HHR-open", "Thm1.22", "Cor1.24", "Prop1.14", "R6", "R7", "R8",
+    "kleene-and", "Cor3.8", "Thm1.20", "Browder", "HHR", "HHR-open",
+    "Thm1.22", "Prop1.14", "R6", "R7", "R8",
     "Thm1.26", "Cond1.27", "Thm1.33", "Thm1.33a", "Thm1.33b", "Thm1.33c",
     "Thm1.33d", "Thm1.34", "needs:homotopic", "needs:del_zero",
     "needs:e_del_zero", "needs:kervaire_one", "needs:fprime_homotopic",

@@ -8,41 +8,13 @@ from coincalc import (
     DescriptorError,
     FactBase,
     FactBaseError,
-    INFINITE,
     KervaireStatus,
     Truth,
     kervaire_status,
     pinpoint,
-    stable_stem,
     two_chi_so_vanishes,
 )
 from coincalc.tables import TWO_CHI_FACTS, lint_text
-
-# Remark 1.31: stems k <= 19 whose stable group has an element of order > 2
-REMARK_131_STEMS = frozenset({3, 7, 10, 11, 13, 15, 18, 19})
-
-
-def test_stable_stem_examples():
-    assert stable_stem(3).order == 24
-    assert stable_stem(10).order == 6
-    assert stable_stem(4).order == 1
-    assert stable_stem(5).order == 1
-    assert stable_stem(0).order is INFINITE
-
-
-def test_stable_stem_out_of_range():
-    assert stable_stem(20) is None
-    assert stable_stem(99) is None
-    with pytest.raises(DescriptorError):
-        stable_stem(-1)
-
-
-def test_exponent_flags_match_remark_list():
-    # stems <= 19 with an element of order > 2 (plus the infinite stem 0)
-    for k in range(20):
-        entry = stable_stem(k)
-        expected_no = k in REMARK_131_STEMS or k == 0
-        assert entry.exponent_divides_two.is_no() == expected_no, k
 
 
 def test_two_chi_examples():
@@ -110,7 +82,7 @@ def test_pinpoint_examples():
 def test_every_entry_has_citation():
     raw = open(FactBase.bundled_path(), encoding="utf-8").read()
     doc = json.loads(raw)
-    for section in ("stable_stems", "framed_so", "pinpoints"):
+    for section in ("framed_so", "pinpoints"):
         for entry in doc[section]:
             assert entry["citation"].strip()
 
@@ -123,16 +95,21 @@ def test_bundled_path_is_the_packaged_file():
             == json.loads(packaged.read_text(encoding="utf-8"))["version"])
 
 
-def test_framed_so_divisibility():
-    fb = FactBase.load()
-    for k in range(1, 13):
-        entry = fb.framed_so(k)
-        assert entry is not None
-        order = entry.order_of_class
-        if isinstance(order, int) and k >= 2:
-            assert 24 % order == 0
-            if k % 2 == 0:
-                assert 2 % order == 0
+def test_two_chi_closed_form_matches_framed_so():
+    # the cited framed_so orders are the oracle of the closed form
+    doc = json.loads(open(FactBase.bundled_path(), encoding="utf-8").read())
+    assert sorted(e["k"] for e in doc["framed_so"]) == list(range(1, 13))
+    for e in doc["framed_so"]:
+        k, order = e["k"], e["order_of_class"]
+        for chi in range(200):
+            truth = two_chi_so_vanishes(k, chi).truth
+            if order == "unknown":
+                assert truth is not Truth.NO, (k, chi)
+            elif order == "infinite":
+                assert (truth is Truth.YES) == (chi == 0), (k, chi)
+            else:
+                assert truth is (Truth.YES if 2 * chi % order == 0
+                                 else Truth.NO), (k, chi)
 
 
 def test_shipped_file_lints_clean():
@@ -146,7 +123,7 @@ def _mutate(transform):
     transform(doc)
     # keep the one-entry-per-line layout so the linter can point at lines
     lines = ['{', f'  "version": {json.dumps(doc["version"])},']
-    for section in ("stable_stems", "framed_so", "pinpoints"):
+    for section in ("framed_so", "pinpoints"):
         lines.append(f'  "{section}": [')
         entries = [f"    {json.dumps(e)}" for e in doc[section]]
         lines.append(",\n".join(entries))
@@ -185,23 +162,6 @@ def test_linter_catches_missing_citation():
         doc["pinpoints"][0]["citation"] = ""
     problems = lint_text(_mutate(drop_citation))
     assert any("citation" in message for _, message in problems)
-
-
-def test_linter_catches_bad_stem_order():
-    def break_stem(doc):
-        for e in doc["stable_stems"]:
-            if e["k"] == 3:
-                e["order"] = "infinite"
-    problems = lint_text(_mutate(break_stem))
-    assert any("infinite" in message for _, message in problems)
-
-
-def test_linter_requires_full_stem_range():
-    def drop_stem(doc):
-        doc["stable_stems"] = [e for e in doc["stable_stems"]
-                               if e["k"] != 17]
-    problems = lint_text(_mutate(drop_stem))
-    assert any("missing" in message for _, message in problems)
 
 
 def test_linter_reports_broken_json():
