@@ -25,15 +25,15 @@ print("\nThe named failures with their justifying rules:")
 for m, n in [(11, 6), (30, 16), (19, 10), (62, 32)]:
     fact = wecken_condition(WeckenQuery(m, n))
     print(f"  (m, n) = ({m:2d}, {n:2d}): {fact.truth.value} "
-          f"[{fact.provenance.ref}]")
+          f"[{fact.rule}]")
 
 print("\nThe open Kervaire dimension:")
 fact = wecken_condition(WeckenQuery(254, 128))
-print(f"  (254, 128): {fact.truth.value} [{fact.provenance.ref}]")
+print(f"  (254, 128): {fact.truth.value} [{fact.rule}]")
 
 print("\nCovering invariance: sphere and space-form targets agree,")
 print("a general target needs its own Euler-characteristic fact:")
 general = wecken_condition(WeckenQuery(
     11, 6, TargetFamily.GENERAL, noncompact_or_chi_zero=user_fact("yes")))
 print(f"  (11, 6) with chi(N) = 0: {general.truth.value} "
-      f"[{general.provenance.ref}]")
+      f"[{general.rule}]")

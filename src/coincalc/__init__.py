@@ -20,10 +20,10 @@ _SUBMODULE = {
         ("errors", ("CoincalcError", "ConsistencyError", "DescriptorError",
                     "FactBaseError")),
         ("lattice", ("IntMatrix", "FGAbelianGroup", "SmithNormalForm",
-                     "smith_normal_form", "abs_det_of_image", "cokernel",
+                     "smith_normal_form", "cokernel",
                      "cokernel_bruteforce_oracle", "det_cofactor",
                      "invariant_factors")),
-        ("verdict", ("Fact", "Truth", "Provenance", "Verdict",
+        ("verdict", ("Fact", "Truth", "Verdict",
                      "InvariantBundle", "combine_and", "user_fact",
                      "validate_bundle", "INFINITE", "UNKNOWN")),
         ("tables", ("FactBase", "KervaireStatus", "get_factbase",

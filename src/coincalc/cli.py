@@ -269,10 +269,8 @@ def _verdict_json(v: Verdict) -> dict:
 
 
 def _fact_json(fact: Fact) -> dict:
-    trace = []
-    if fact.provenance.kind in ("rule", "table"):
-        trace.append(fact.provenance.ref)
-    return {"value": fact.truth.value, "trace": trace}
+    return {"value": fact.truth.value,
+            "trace": [fact.rule] if fact.rule else []}
 
 
 def run_query(query: dict) -> dict:

@@ -1,5 +1,5 @@
 """Exact integer linear algebra: Smith normal form, invariant factors,
-image determinants, cokernels, and a brute-force coset-counting oracle.
+cokernels, and a brute-force coset-counting oracle.
 
 Everything runs on Python's arbitrary-precision integers; no intermediate
 value is allowed to overflow because none can.  ``smith_normal_form`` runs
@@ -8,8 +8,8 @@ factorization D = U * A * V is returned and can be checked exactly.
 ``invariant_factors`` builds no transforms: one fraction-free (Bareiss)
 elimination yields |det| and a multiple of a determinantal divisor, which
 certifies the factors or bounds a Smith reduction modulo that multiple
-(``_smith_mod``), whose entries never outgrow it.  ``cokernel`` and
-``abs_det_of_image`` read only those factors.
+(``_smith_mod``), whose entries never outgrow it.  ``cokernel`` reads
+only those factors.
 """
 
 from __future__ import annotations
@@ -402,15 +402,6 @@ def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     if big_g == 1:
         return (1,) * rank
     return _smith_mod(rows, big_g)[:rank]
-
-
-def abs_det_of_image(a: IntMatrix) -> int:
-    """|det| of any square matrix whose columns generate the column lattice
-    of ``a`` inside Z^rows; 0 when the lattice has rank below ``rows``."""
-    divisors = invariant_factors(a)
-    if len(divisors) < a.rows:
-        return 0
-    return prod(divisors)
 
 
 def cokernel(a: IntMatrix) -> FGAbelianGroup:

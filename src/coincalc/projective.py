@@ -17,7 +17,6 @@ from .verdict import (
     UNKNOWN,
     Fact,
     InvariantBundle,
-    Provenance,
     Truth,
     Verdict,
     truth_and,
@@ -76,8 +75,7 @@ class ProjectivePairDescriptor:
         return self.n_prime * self.field.d
 
 
-_THM45 = Provenance.rule("Thm4.5")
-_YES_45, _NO_45 = yes(_THM45), no(_THM45)
+_YES_45, _NO_45 = yes("Thm4.5"), no("Thm4.5")
 
 
 def _sync(name_a, a: Fact, name_b, b: Fact):
@@ -213,8 +211,8 @@ def projective_invariants(d: ProjectivePairDescriptor) -> InvariantBundle:
     return _BUNDLES[d.field is ProjectiveField.R][projective_classify(d)]
 
 
-_PROP114 = Provenance.rule("Prop1.14")
-_PROP114_YES, _PROP114_UNKNOWN = yes(_PROP114), unknown_fact(_PROP114)
+_PROP114_YES = yes("Prop1.14")
+_PROP114_UNKNOWN = unknown_fact("Prop1.14")
 
 
 def del_vanishes_by_dimension(field: ProjectiveField, n_prime: int) -> Fact:

@@ -1,7 +1,7 @@
 """Registry of rule identifiers.
 
-Every Verdict trace and every RuleDerived provenance must reference an
-identifier registered here.  The vocabulary is closed: adding a rule means
+Every Verdict trace and every derived Fact's rule must be an identifier
+registered here.  The vocabulary is closed: adding a rule means
 adding it to REGISTRY *and* to docs/rules.md (a test cross-checks the two).
 
 Identifiers of the form ``needs:<field>`` annotate Unknown results with the
@@ -156,27 +156,10 @@ REGISTRY: dict[str, str] = {
     "needs:del_zero": "undetermined: does the boundary class vanish?",
     "needs:e_del_zero": "undetermined: does the suspended boundary class "
                         "vanish?",
-    "needs:kervaire_one": "undetermined: is the Kervaire invariant one?",
     "needs:in_psE_image": "undetermined: does the class difference lie in "
                           "the suspension-projection image?",
     "needs:top_cohomology_pullback_nonzero": "undetermined: is the pullback "
                                              "nonzero on top cohomology?",
     "needs:det_kills_top": "undetermined: does multiplication by the "
                            "determinant kill no top cohomology class?",
-    "needs:fprime_homotopic": "undetermined: are the projected lifts "
-                              "homotopic?",
-    "needs:lift2_in_ker_del": "undetermined: is the second lift killed by "
-                              "the boundary?",
-    "needs:lift2_in_ker_Edel": "undetermined: is the second lift killed by "
-                               "the suspended boundary?",
-    "needs:lift2_antipodal_selfhomotopic": "undetermined: is the second "
-                                           "lift antipodally "
-                                           "self-homotopic?",
-    "needs:lifts_differ_by_suspension": "undetermined: does the lift "
-                                        "difference desuspend?",
-    "needs:lifts_equal": "undetermined: are the two lifts equal?",
-    "needs:noncompact_or_chi_zero": "undetermined: is the target noncompact "
-                                    "or of zero Euler characteristic?",
-    "needs:restrictions": "undetermined: can all N# restrictions be "
-                          "satisfied?",
 }

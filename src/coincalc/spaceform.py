@@ -18,7 +18,6 @@ from .tables import KervaireStatus, kervaire_status
 from .verdict import (
     Fact,
     InvariantBundle,
-    Provenance,
     Truth,
     Verdict,
     no,
@@ -71,8 +70,8 @@ class SpaceFormPairDescriptor:
 
 _THM115 = rule_facts("Thm1.15")
 _YES_115, _NO_115 = _THM115[Truth.YES], _THM115[Truth.NO]
-_YES_110 = yes(Provenance.rule("Thm1.10"))
-_YES_43 = yes(Provenance.rule("Prop4.3"))
+_YES_110 = yes("Thm1.10")
+_YES_43 = yes("Prop4.3")
 
 
 def resolve(d: SpaceFormPairDescriptor) -> SpaceFormPairDescriptor:
@@ -271,7 +270,7 @@ _CHAIN_NOTES = (
 )
 
 
-_NO_COR119 = no(Provenance.rule("Cor1.19"))
+_NO_COR119 = no("Cor1.19")
 
 
 def selfcoincidence_chain(d: SpaceFormPairDescriptor) -> SelfCoincidenceReport:
@@ -309,9 +308,9 @@ def selfcoincidence_chain(d: SpaceFormPairDescriptor) -> SelfCoincidenceReport:
     )
 
 
-_NO_BROWDER = no(Provenance.rule("Browder"))
-_NO_HHR = no(Provenance.rule("HHR"))
-_HHR_OPEN_UNKNOWN = unknown_fact(Provenance.rule("HHR-open"))
+_NO_BROWDER = no("Browder")
+_NO_HHR = no("HHR")
+_HHR_OPEN_UNKNOWN = unknown_fact("HHR-open")
 _THM120 = rule_facts("Thm1.20")
 
 
@@ -333,8 +332,7 @@ def kervaire_case(d: SpaceFormPairDescriptor) -> Fact:
     d = resolve(d)
 
     kervaire = d.kervaire_one
-    status = kervaire_status(d.n)
-    if status.status is KervaireStatus.NONE_EXISTS:
+    if kervaire_status(d.n) is KervaireStatus.NONE_EXISTS:
         if kervaire.is_yes():
             raise DescriptorError(
                 f"kervaire_one = yes contradicts the vanishing theorem "

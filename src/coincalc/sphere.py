@@ -16,7 +16,6 @@ from .errors import DescriptorError
 from .verdict import (
     Fact,
     InvariantBundle,
-    Provenance,
     Truth,
     Verdict,
     no,
@@ -62,8 +61,7 @@ class _Resolved:
     degree_gap: int | None  # |difference class degree| for m = n = 1
 
 
-_THM17E = Provenance.rule("Thm1.7e")
-_YES_17E, _NO_17E = yes(_THM17E), no(_THM17E)
+_YES_17E, _NO_17E = yes("Thm1.7e"), no("Thm1.7e")
 
 
 def _resolve(d: SphereClassDescriptor) -> _Resolved:

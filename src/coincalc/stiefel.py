@@ -80,8 +80,7 @@ def _shared_bundle(corollary: str | None, fact: Fact) -> InvariantBundle:
     trace = ["Thm1.2"]
     if corollary is not None:
         trace.append(corollary)
-    if fact.provenance.kind == "rule":
-        trace.append(fact.provenance.ref)
+    trace.append(fact.rule)  # every two_chi_so_vanishes fact has a rule
 
     if fact.truth is Truth.YES:
         trace.append("Prop5.1")  # value 0 is loose by small deformation

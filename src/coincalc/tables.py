@@ -26,8 +26,6 @@ from .verdict import (
     UNKNOWN,
     ExtNat,
     Fact,
-    Provenance,
-    Truth,
     no,
     unknown_fact,
     yes,
@@ -42,16 +40,9 @@ class KervaireStatus(enum.Enum):
 
 
 @dataclass(frozen=True)
-class KervaireEntry:
-    n: int
-    status: KervaireStatus
-    citation: str
-
-
-@dataclass(frozen=True)
 class PinpointGroupFact:
     key: str
-    is_trivial: Fact
+    is_trivial: bool
     order: ExtNat
 
 
@@ -86,10 +77,7 @@ class FactBase:
         pinpoints = [
             PinpointGroupFact(
                 key=e["key"],
-                is_trivial=Fact(
-                    Truth.from_str(e["is_trivial"]),
-                    Provenance.table(f"pinpoint:{e['key']}"),
-                ),
+                is_trivial=e["is_trivial"] == "yes",
                 order=_ORDER_MARKERS.get(e["order"], e["order"]),
             )
             for e in doc["pinpoints"]
@@ -115,16 +103,16 @@ def read_text(path: str) -> str:
 # -- closed forms ----------------------------------------------------------
 
 # the answers of two_chi_so_vanishes, one fact per rule and truth value
-_CHI_ZERO = yes(Provenance.rule("chi-zero"))
-_SO1_INFINITE = no(Provenance.rule("SO1-infinite"))
-_TWO_SO_EVEN = yes(Provenance.rule("2SOeven"))
-_SO_NULLBORDANT = yes(Provenance.rule("SO-nullbordant"))
-_TWENTY_FOUR_SO = yes(Provenance.rule("24SO"))
-_SO3_ORDER12_YES = yes(Provenance.rule("SO3-order12"))
-_SO3_ORDER12_NO = no(Provenance.rule("SO3-order12"))
-_SO5_ORDER3_YES = yes(Provenance.rule("SO5-order3"))
-_SO5_ORDER3_NO = no(Provenance.rule("SO5-order3"))
-_SO_ORDER_OPEN = unknown_fact(Provenance.rule("SO-order-open"))
+_CHI_ZERO = yes("chi-zero")
+_SO1_INFINITE = no("SO1-infinite")
+_TWO_SO_EVEN = yes("2SOeven")
+_SO_NULLBORDANT = yes("SO-nullbordant")
+_TWENTY_FOUR_SO = yes("24SO")
+_SO3_ORDER12_YES = yes("SO3-order12")
+_SO3_ORDER12_NO = no("SO3-order12")
+_SO5_ORDER3_YES = yes("SO5-order3")
+_SO5_ORDER3_NO = no("SO5-order3")
+_SO_ORDER_OPEN = unknown_fact("SO-order-open")
 TWO_CHI_FACTS = (_CHI_ZERO, _SO1_INFINITE, _TWO_SO_EVEN, _SO_NULLBORDANT,
                  _TWENTY_FOUR_SO, _SO3_ORDER12_YES, _SO3_ORDER12_NO,
                  _SO5_ORDER3_YES, _SO5_ORDER3_NO, _SO_ORDER_OPEN)
@@ -156,31 +144,26 @@ def two_chi_so_vanishes(k: int, chi: int) -> Fact:
     return _SO_ORDER_OPEN
 
 
-# kervaire_status for the n that are not settled by Browder or HHR
-_KERVAIRE_ENTRIES = {
-    n: KervaireEntry(n, status, citation)
-    for ns, status, citation in (
-        ((2, 4, 8), KervaireStatus.KERNEL_E_ZERO, "Adams: Hopf invariant one"),
-        ((16, 32, 64), KervaireStatus.EXISTS_ORDER_TWO_KERVAIRE_ONE,
-         "order-two Kervaire-one elements in stems 30, 62, 126"),
-        ((128,), KervaireStatus.OPEN, "stem 254 remains open"),
-    )
-    for n in ns
+# kervaire_status for the n that Browder (n not a power of two) and
+# Hill-Hopkins-Ravenel (n > 128) leave: Adams's Hopf invariant one for
+# n = 2, 4, 8; order-two Kervaire-one elements in stems 30, 62 and 126 for
+# n = 16, 32, 64; stem 254 open for n = 128
+_KERVAIRE_STATUS = {
+    2: KervaireStatus.KERNEL_E_ZERO,
+    4: KervaireStatus.KERNEL_E_ZERO,
+    8: KervaireStatus.KERNEL_E_ZERO,
+    16: KervaireStatus.EXISTS_ORDER_TWO_KERVAIRE_ONE,
+    32: KervaireStatus.EXISTS_ORDER_TWO_KERVAIRE_ONE,
+    64: KervaireStatus.EXISTS_ORDER_TWO_KERVAIRE_ONE,
+    128: KervaireStatus.OPEN,
 }
 
 
-def kervaire_status(n: int) -> KervaireEntry:
+def kervaire_status(n: int) -> KervaireStatus:
     """Status of order-two Kervaire-invariant-one elements for even n."""
     if n < 2 or n % 2:
         raise DescriptorError("Kervaire status is defined for even n >= 2")
-    entry = _KERVAIRE_ENTRIES.get(n)
-    if entry is not None:
-        return entry
-    if n & (n - 1):
-        return KervaireEntry(n, KervaireStatus.NONE_EXISTS,
-                             "Browder: n is not a power of two")
-    return KervaireEntry(n, KervaireStatus.NONE_EXISTS,
-                         "Hill-Hopkins-Ravenel: n > 128")
+    return _KERVAIRE_STATUS.get(n, KervaireStatus.NONE_EXISTS)
 
 
 # -- linter ---------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Three-valued facts, extended-natural verdicts, and invariant bundles.
 
 Every family engine answers through these types: a Fact is a Yes/No/Unknown
-proposition with provenance, a Verdict is a finite/infinite/unknown count
-with a justification trace of registered rule identifiers, and an
-InvariantBundle collects the seven invariants of one pair of maps.
+proposition with the id of the rule that derived it, a Verdict is a
+finite/infinite/unknown count with a justification trace of registered rule
+identifiers, and an InvariantBundle collects the seven invariants of one
+pair of maps.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ class Truth(enum.Enum):
     YES = "yes"
     NO = "no"
     UNKNOWN = "unknown"
-
-    @classmethod
-    def from_str(cls, text: str) -> "Truth":
-        return user_fact(text).truth
 
 
 def truth_and(a: Truth, b: Truth) -> Truth:
@@ -44,40 +41,16 @@ def truth_not(a: Truth) -> Truth:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """Where a Fact came from: the user, a fact-base entry, or a rule."""
+class Fact:
+    """A truth value and the id of the registered rule that derived it, or
+    "" for a value the user supplied."""
 
-    kind: str  # "user" | "table" | "rule"
-    ref: str = ""
+    truth: Truth
+    rule: str
 
     def __post_init__(self):
-        if self.kind not in ("user", "table", "rule"):
-            raise DescriptorError(f"invalid provenance kind {self.kind!r}")
-        if self.kind == "rule" and self.ref not in REGISTRY:
-            raise KeyError(f"unregistered rule identifier: {self.ref!r}")
-        if self.kind == "table" and not self.ref:
-            raise DescriptorError("table provenance requires an entry id")
-
-    @classmethod
-    def user(cls) -> "Provenance":
-        return _USER
-
-    @classmethod
-    def table(cls, entry_id: str) -> "Provenance":
-        return cls("table", entry_id)
-
-    @classmethod
-    def rule(cls, rule_id: str) -> "Provenance":
-        return cls("rule", rule_id)
-
-
-_USER = Provenance("user")
-
-
-@dataclass(frozen=True)
-class Fact:
-    truth: Truth
-    provenance: Provenance
+        if self.rule and self.rule not in REGISTRY:
+            raise KeyError(f"unregistered rule identifier: {self.rule!r}")
 
     def is_yes(self) -> bool:
         return self.truth is Truth.YES
@@ -89,22 +62,22 @@ class Fact:
         return self.truth is Truth.UNKNOWN
 
 
-def yes(provenance: Provenance) -> Fact:
-    return Fact(Truth.YES, provenance)
+def yes(rule: str) -> Fact:
+    return Fact(Truth.YES, rule)
 
 
-def no(provenance: Provenance) -> Fact:
-    return Fact(Truth.NO, provenance)
+def no(rule: str) -> Fact:
+    return Fact(Truth.NO, rule)
 
 
-def unknown_fact(provenance: Provenance | None = None) -> Fact:
-    if provenance is None:
+def unknown_fact(rule: str = "") -> Fact:
+    if not rule:
         return _USER_FACTS["unknown"]
-    return Fact(Truth.UNKNOWN, provenance)
+    return Fact(Truth.UNKNOWN, rule)
 
 
 # the three user facts; facts are immutable, so every answer shares them
-_USER_FACTS = {t.value: Fact(t, _USER) for t in Truth}
+_USER_FACTS = {t.value: Fact(t, "") for t in Truth}
 
 
 def user_fact(text: str) -> Fact:
@@ -118,8 +91,7 @@ def user_fact(text: str) -> Fact:
 
 def rule_facts(rule_id: str) -> dict[Truth, Fact]:
     """The three facts a rule can derive, one per truth value."""
-    provenance = Provenance.rule(rule_id)
-    return {t: Fact(t, provenance) for t in Truth}
+    return {t: Fact(t, rule_id) for t in Truth}
 
 
 _KLEENE_AND = rule_facts("kleene-and")

@@ -18,7 +18,6 @@ from .tables import KervaireStatus, kervaire_status, pinpoint
 from .verdict import (
     INFINITE,
     Fact,
-    Provenance,
     Truth,
     no,
     rule_facts,
@@ -90,7 +89,7 @@ def _rules_fired(q: WeckenQuery) -> list[tuple[str, Truth]]:
             fired.append(("R3", Truth.YES))
         elif covered:
             entry = pinpoint("pi_10_S^6")
-            if entry is not None and entry.is_trivial.is_yes():
+            if entry is not None and entry.is_trivial:
                 fired.append(("R3", Truth.YES))
     if m == n + 5:
         if m != 11:
@@ -98,7 +97,7 @@ def _rules_fired(q: WeckenQuery) -> list[tuple[str, Truth]]:
         elif covered:
             fired.append(("R4", Truth.NO))
     if m == 2 * n - 2 and n % 2 == 0:
-        status = kervaire_status(n).status
+        status = kervaire_status(n)
         if status is KervaireStatus.KERNEL_E_ZERO:
             fired.append(("R5", Truth.YES))  # suspension kernel is trivial
         elif covered:
@@ -134,7 +133,7 @@ def overlap_disagreements(limit: int = 64) -> list[str]:
 
 # the facts R1..R7 can answer with, by rule and truth value; R8 is Unknown
 _RULE_FACTS = {f"R{i}": rule_facts(f"R{i}") for i in range(1, 8)}
-_R8_UNKNOWN = unknown_fact(Provenance.rule("R8"))
+_R8_UNKNOWN = unknown_fact("R8")
 
 
 def wecken_condition(q: WeckenQuery) -> Fact:
@@ -214,11 +213,11 @@ def coincidence_producing_criterion(
     )
 
 
-_NO_THM133A = no(Provenance.rule("Thm1.33a"))
-_NO_THM133B = no(Provenance.rule("Thm1.33b"))
-_NO_THM133C = no(Provenance.rule("Thm1.33c"))
-_NO_THM133D = no(Provenance.rule("Thm1.33d"))
-_UNKNOWN_THM133 = unknown_fact(Provenance.rule("Thm1.33"))
+_NO_THM133A = no("Thm1.33a")
+_NO_THM133B = no("Thm1.33b")
+_NO_THM133C = no("Thm1.33c")
+_NO_THM133D = no("Thm1.33d")
+_UNKNOWN_THM133 = unknown_fact("Thm1.33")
 
 
 def nsharp_restrictions(
@@ -279,8 +278,7 @@ def nielsen_value_set(pi1_count: int | object,
     return NielsenValueSet(tuple(values))
 
 
-_EX39 = Provenance.rule("Ex3.9")
-_YES_EX39, _NO_EX39 = yes(_EX39), no(_EX39)
+_YES_EX39, _NO_EX39 = yes("Ex3.9"), no("Ex3.9")
 
 
 def fixed_point_wecken(dim: int, chi: int) -> Fact:

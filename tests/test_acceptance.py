@@ -203,11 +203,11 @@ def test_criterion_5_wecken_catalogue():
                 seen_no.add((m, n))
             elif fact.is_unknown():
                 seen_unknown.add((m, n))
-                assert fact.provenance.ref == "R8", (m, n)
+                assert fact.rule == "R8", (m, n)
     assert seen_no == expected_no
     # the open Kervaire row sits outside the 64-grid
     open_row = wecken_condition(WeckenQuery(254, 128))
-    assert open_row.is_unknown() and open_row.provenance.ref == "R5"
+    assert open_row.is_unknown() and open_row.rule == "R5"
     assert overlap_disagreements() == []
     report(5, f"exception catalogue exact on the 64x64 grid "
               f"({len(seen_no)} failures, {len(seen_unknown)} honest gaps), "

@@ -142,7 +142,7 @@ def test_del_vanishes_by_dimension():
     assert del_vanishes_by_dimension(R, 5).is_yes()
     assert del_vanishes_by_dimension(H, 2).is_unknown()  # criterion silent
     assert del_vanishes_by_dimension(R, 4).is_unknown()
-    assert del_vanishes_by_dimension(C, 3).provenance.ref == "Prop1.14"
+    assert del_vanishes_by_dimension(C, 3).rule == "Prop1.14"
 
 
 def test_dimension_criterion_feeds_case_one():

@@ -33,11 +33,7 @@ NEVER_EMITTED = frozenset({
     "Thm1.22", "Prop1.14", "R6", "R7", "R8",
     "Thm1.26", "Cond1.27", "Thm1.33", "Thm1.33a", "Thm1.33b", "Thm1.33c",
     "Thm1.33d", "Thm1.34", "needs:homotopic", "needs:del_zero",
-    "needs:e_del_zero", "needs:kervaire_one", "needs:fprime_homotopic",
-    "needs:lift2_in_ker_del", "needs:lift2_in_ker_Edel",
-    "needs:lift2_antipodal_selfhomotopic",
-    "needs:lifts_differ_by_suspension", "needs:lifts_equal",
-    "needs:noncompact_or_chi_zero", "needs:restrictions",
+    "needs:e_del_zero",
 })
 
 

@@ -1,4 +1,6 @@
+import ast
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -21,10 +23,35 @@ def test_every_rule_is_documented():
 def test_documented_rules_are_registered():
     # the published vocabulary is closed: nothing in the docs table that
     # the registry does not know
-    import re
     documented = set(re.findall(r"^\| `([^`]+)` \|", DOCS.read_text(),
                                 flags=re.MULTILINE))
     assert documented == set(REGISTRY)
+
+
+def _written_id_patterns() -> list[re.Pattern]:
+    """One pattern per string literal in the package outside rules.py; an
+    f-string's fields stand for integers, as in f"Table4.7-row{row}"."""
+    patterns = []
+    for path in (ROOT / "src" / "coincalc").glob("*.py"):
+        if path.name == "rules.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                patterns.append(re.compile(re.escape(node.value)))
+            elif isinstance(node, ast.JoinedStr):
+                patterns.append(re.compile("".join(
+                    re.escape(part.value) if isinstance(part, ast.Constant)
+                    else r"\d+" for part in node.values)))
+    return patterns
+
+
+def test_every_rule_is_written_by_the_package():
+    # an id that no module writes can never reach an answer or a fact
+    patterns = _written_id_patterns()
+    unwritten = [rid for rid in REGISTRY
+                 if not any(p.fullmatch(rid) for p in patterns)]
+    assert unwritten == []
 
 
 def test_registry_descriptions_nonempty():

@@ -136,7 +136,7 @@ def test_chain_gap_resolved_by_exceptional_equivalences():
     assert report.e_del_vanishes.is_yes()
     assert report.loose.is_unknown()  # the chain alone is silent
     assert report.mcc_zero_by_cor_1_19.is_no()
-    assert report.mcc_zero_by_cor_1_19.provenance.ref == "Cor1.19"
+    assert report.mcc_zero_by_cor_1_19.rule == "Cor1.19"
 
 
 def test_chain_collapses_for_larger_groups():
@@ -160,7 +160,7 @@ def test_kervaire_case_examples():
     assert loose.is_yes()  # Kervaire invariant forced to vanish
     loose = kervaire_case(descriptor(254, 128, 2, hom="yes", edz="yes"))
     assert loose.is_unknown()
-    assert loose.provenance.ref == "HHR-open"
+    assert loose.rule == "HHR-open"
 
 
 def test_kervaire_case_rejections():

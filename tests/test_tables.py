@@ -46,11 +46,10 @@ def test_two_chi_answers_are_the_listed_facts():
 
 
 def test_kervaire_examples():
-    assert kervaire_status(16).status \
-        is KervaireStatus.EXISTS_ORDER_TWO_KERVAIRE_ONE
-    assert kervaire_status(12).status is KervaireStatus.NONE_EXISTS
-    assert kervaire_status(128).status is KervaireStatus.OPEN
-    assert kervaire_status(2).status is KervaireStatus.KERNEL_E_ZERO
+    assert kervaire_status(16) is KervaireStatus.EXISTS_ORDER_TWO_KERVAIRE_ONE
+    assert kervaire_status(12) is KervaireStatus.NONE_EXISTS
+    assert kervaire_status(128) is KervaireStatus.OPEN
+    assert kervaire_status(2) is KervaireStatus.KERNEL_E_ZERO
     with pytest.raises(DescriptorError):
         kervaire_status(7)
     with pytest.raises(DescriptorError):
@@ -59,7 +58,7 @@ def test_kervaire_examples():
 
 def test_kervaire_total_closed_form():
     for n in range(2, 1025, 2):
-        status = kervaire_status(n).status
+        status = kervaire_status(n)
         if n in (2, 4, 8):
             assert status is KervaireStatus.KERNEL_E_ZERO
         elif n in (16, 32, 64):
@@ -71,12 +70,12 @@ def test_kervaire_total_closed_form():
 
 
 def test_pinpoint_examples():
-    assert pinpoint("pi_10_S^6").is_trivial.is_yes()
+    assert pinpoint("pi_10_S^6").is_trivial is True
     entry = pinpoint("pi_10_S^5")
-    assert entry.is_trivial.is_no()
+    assert entry.is_trivial is False
     assert entry.order == 2
     assert pinpoint("pi_99_S^50") is None
-    assert pinpoint("pi_10_V_{7,2}").is_trivial.is_yes()
+    assert pinpoint("pi_10_V_{7,2}").is_trivial is True
 
 
 def test_every_entry_has_citation():

@@ -10,7 +10,6 @@ from coincalc import (
     Fact,
     INFINITE,
     InvariantBundle,
-    Provenance,
     Truth,
     UNKNOWN,
     Verdict,
@@ -27,7 +26,7 @@ def test_combine_and_examples():
     assert combine_and([y, y]).truth is Truth.YES
     assert combine_and([y, u]).truth is Truth.UNKNOWN
     assert combine_and([n, u]).truth is Truth.NO
-    assert combine_and([y]).provenance == Provenance.rule("kleene-and")
+    assert combine_and([y]).rule == "kleene-and"
 
 
 def test_combine_and_rejects_empty():
@@ -45,11 +44,8 @@ def test_kleene_conjunction_algebra():
 
 
 def test_fact_provenance_required():
-    with pytest.raises(DescriptorError):
-        Provenance("guess")
     with pytest.raises(KeyError):
-        Provenance.rule("NotARule")
-    assert Fact(Truth.YES, Provenance.table("stem:3")).is_yes()
+        Fact(Truth.YES, "NotARule")
 
 
 def test_verdict_invariants():
@@ -167,8 +163,7 @@ def test_validate_bundle_reports_every_violation_in_order():
 
 def test_user_facts_are_the_user_provenance_facts():
     for truth in Truth:
-        assert user_fact(truth.value) == Fact(truth, Provenance.user())
-    assert Provenance.user() == Provenance("user")
+        assert user_fact(truth.value) == Fact(truth, "")
 
 
 def test_interned_facts_stay_frozen():
@@ -176,7 +171,7 @@ def test_interned_facts_stay_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         fact.truth = Truth.NO
     with pytest.raises(dataclasses.FrozenInstanceError):
-        fact.provenance.kind = "rule"
+        fact.rule = "kleene-and"
     assert user_fact("yes").truth is Truth.YES
 
 
@@ -186,9 +181,6 @@ def test_interned_facts_stay_frozen():
 ])
 def test_bad_truth_values_keep_their_messages(raw, shown):
     message = f"truth value must be 'yes', 'no' or 'unknown', got {shown}"
-    with pytest.raises(DescriptorError) as info:
-        Truth.from_str(raw)
-    assert str(info.value) == message
     with pytest.raises(DescriptorError) as info:
         user_fact(raw)
     assert str(info.value) == message

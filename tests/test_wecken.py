@@ -17,7 +17,7 @@ from coincalc import (
 )
 from coincalc import wecken
 from coincalc.cli import main
-from coincalc.verdict import Fact, Provenance
+from coincalc.verdict import Fact
 
 
 def condition(m, n, family=TargetFamily.SPHERE, **kw):
@@ -51,24 +51,24 @@ def test_exception_catalogue_within_64():
     # Unknown appears exactly at the uncovered gaps: no catalogued rule,
     # fallback R8
     for m, n in unknown_set:
-        assert condition(m, n).provenance.ref == "R8"
+        assert condition(m, n).rule == "R8"
     assert (13, 6) in unknown_set  # second gap row for n = 6
     assert (10, 4) in unknown_set  # n = 4 exclusion of the 2n+2 rule
 
 
 def test_named_examples():
     assert condition(11, 6).is_no()
-    assert condition(11, 6).provenance.ref == "R4"
+    assert condition(11, 6).rule == "R4"
     assert condition(30, 16).is_no()
     assert condition(10, 6).is_yes()
     assert condition(7, 5).is_yes()  # stable range
-    assert condition(7, 5).provenance.ref == "R1"  # odd n fires first
+    assert condition(7, 5).rule == "R1"  # odd n fires first
 
 
 def test_open_kervaire_row():
     fact = condition(254, 128)
     assert fact.is_unknown()
-    assert fact.provenance.ref == "R5"
+    assert fact.rule == "R5"
 
 
 def test_overlap_scan_is_clean():
@@ -108,7 +108,7 @@ def test_r5_follows_the_kervaire_status():
                 assert [f for f in fired if f[0] == "R5"] == expected, q
                 if fired and fired[0][0] == "R5":
                     assert wecken_condition(q) == Fact(
-                        expected[0][1], Provenance.rule("R5")), q
+                        expected[0][1], "R5"), q
 
 
 def test_covering_invariance():
@@ -123,7 +123,7 @@ def test_general_targets_degrade_honestly():
     # Euler characteristic zero decides everything
     fact = condition(11, 6, TargetFamily.GENERAL,
                      noncompact_or_chi_zero=user_fact("yes"))
-    assert fact.is_yes() and fact.provenance.ref == "R1"
+    assert fact.is_yes() and fact.rule == "R1"
     # without it, the sphere-specific failure at (11, 6) says nothing
     assert condition(11, 6, TargetFamily.GENERAL).is_unknown()
     assert condition(10, 6, TargetFamily.GENERAL).is_unknown()
@@ -188,13 +188,13 @@ def restrictions(n, m, pi1=1, orientable="no", closed=True, chi_zero="no",
 def test_restrictions_odd_dimension():
     fact = restrictions(5, 9)
     assert fact.is_no()
-    assert fact.provenance.ref == "Thm1.33a"
+    assert fact.rule == "Thm1.33a"
 
 
 def test_restrictions_fundamental_group():
     fact = restrictions(4, 7, pi1=3)
     assert fact.is_no()
-    assert fact.provenance.ref == "Thm1.33b"
+    assert fact.rule == "Thm1.33b"
     assert restrictions(4, 7, pi1=INFINITE).is_no()
     assert restrictions(4, 7, pi1=2, orientable="yes").is_no()
 
