@@ -345,22 +345,49 @@ def run_batch(queries: list) -> list[dict]:
 
 _escape = json.encoder.encode_basestring_ascii
 _STR_ONLY = frozenset({str})
+# answers nest five levels deep, and a batch adds one; a line prefix up to
+# this depth has its layout and verdict fragments kept for the process
+_KEPT_DEPTH = 8
+_VERDICT_KEYS = frozenset({"trace", "value"})
+_FRAGMENT_CAP = 1024  # entries in _FRAGMENTS
+_FRAGMENT_CHARS = 512  # the longest fragment kept
+_SMALL_INT = 100  # verdict values below this are kept in their fragment
 
 
 class _Layouts(dict):
-    """For each line prefix nl, made on first use: the strings that lay out
-    a list or dict whose lines continue with nl.  They are the prefix of
-    its items, "[" and "{" with the first item's line break, "," with each
-    further one's, and "]" and "}" on a line of their own."""
+    """For each line prefix nl: the strings that lay out a list or dict
+    whose lines continue with nl.  They are the prefix of its items, "["
+    and "{" with the first item's line break, "," with each further one's,
+    and "]" and "}" on a line of their own.  The prefixes up to _KEPT_DEPTH
+    are built at import; a deeper one is built on each use and not kept,
+    so a deeply nested id pins no long strings."""
 
     def __missing__(self, nl: str) -> tuple[str, ...]:
         inner = nl + "  "
-        layout = self[nl] = (inner, "[" + inner, "{" + inner, "," + inner,
-                             nl + "]", nl + "}")
-        return layout
+        return (inner, "[" + inner, "{" + inner, "," + inner,
+                nl + "]", nl + "}")
 
 
-def _write(v, nl: str, emit, ints: dict, layouts: _Layouts) -> None:
+_LAYOUTS = _Layouts()
+_LAYOUTS.update({nl: _LAYOUTS[nl] for nl in (
+    "\n" + "  " * depth for depth in range(_KEPT_DEPTH))})
+# for each kept prefix and each key order of run_query's dicts, the sorted
+# keys, each with the text that opens its line
+_SHAPES = (("id", "factbase_version", "invariants", "warnings"),
+           tuple(key for key, _ in ALL_FIELDS))
+_HEADS = {
+    (nl, keys): tuple((key, ("," if i else "{") + nl + "  " + _escape(key)
+                       + ": ") for i, key in enumerate(sorted(keys)))
+    for nl in _LAYOUTS for keys in _SHAPES}
+# text of verdicts {"trace": [...], "value": v} at a kept prefix, keyed on
+# (prefix, trace) for the text up to the value and (prefix, trace, value)
+# for the whole when the value is a string or a small int.  Traces are built
+# from rule ids, so answers share a few hundred keys; once full, the cache
+# takes no more entries (dumps in several threads may each add one more).
+_FRAGMENTS: dict[tuple, str] = {}
+
+
+def _write(v, nl: str, emit, ints: dict) -> None:
     """Pass the JSON text of v, whose lines continue with nl, to emit."""
     kind = type(v)
     if kind is str:
@@ -374,26 +401,81 @@ def _write(v, nl: str, emit, ints: dict, layouts: _Layouts) -> None:
         if not v:
             emit("[]")
             return
-        inner, sep, _, comma, close, _ = layouts[nl]
+        inner, sep, _, comma, close, _ = _LAYOUTS[nl]
         for item in v:
             emit(sep)
-            _write(item, inner, emit, ints, layouts)
+            _write(item, inner, emit, ints)
             sep = comma
         emit(close)
     elif kind is dict and _STR_ONLY.issuperset(map(type, v)):
+        if _write_verdict(v, nl, emit, ints):
+            return
         if not v:
             emit("{}")
             return
-        inner, _, sep, comma, _, close = layouts[nl]
+        inner, _, sep, comma, _, close = _LAYOUTS[nl]
+        heads = _HEADS.get((nl, tuple(v)))
+        if heads is not None:
+            for key, head in heads:
+                emit(head)
+                item = v[key]
+                if not _write_verdict(item, inner, emit, ints):
+                    _write(item, inner, emit, ints)
+            emit(close)
+            return
         for key in sorted(v):
             emit(sep)
             emit(_escape(key))
             emit(": ")
-            _write(v[key], inner, emit, ints, layouts)
+            _write(v[key], inner, emit, ints)
             sep = comma
         emit(close)
     else:
         emit(json.dumps(v, indent=2, sort_keys=True).replace("\n", nl))
+
+
+def _write_verdict(v, nl: str, emit, ints: dict) -> bool:
+    """If v is a verdict {"trace": [str, ...], "value": ...} and nl a kept
+    prefix, pass the JSON text of v, whose lines continue with nl, to emit
+    and return True; otherwise emit nothing and return False."""
+    if (type(v) is not dict or v.keys() != _VERDICT_KEYS
+            or nl not in _LAYOUTS):
+        return False
+    trace = v["trace"]
+    if type(trace) is not list or not _STR_ONLY.issuperset(map(type, trace)):
+        return False
+    trace = tuple(trace)
+    value = v["value"]
+    kind = type(value)
+    whole = None
+    if kind is str or kind is int and 0 <= value < _SMALL_INT:
+        whole = (nl, trace, value)
+        text = _FRAGMENTS.get(whole)
+        if text is not None:
+            emit(text)
+            return True
+    inner, _, sep, comma, _, close = _LAYOUTS[nl]
+    head = _FRAGMENTS.get((nl, trace))
+    if head is None:
+        parts = [sep, '"trace": ']
+        _write(list(trace), inner, parts.append, ints)
+        parts += comma, '"value": '
+        head = _keep((nl, trace), "".join(parts))
+    if whole is None:
+        emit(head)
+        _write(value, inner, emit, ints)
+        emit(close)
+    else:
+        emit(_keep(whole, head + (_escape(value) if kind is str
+                                  else int.__repr__(value)) + close))
+    return True
+
+
+def _keep(key: tuple, text: str) -> str:
+    """text, kept in _FRAGMENTS under key while the cache has room."""
+    if len(_FRAGMENTS) < _FRAGMENT_CAP and len(text) <= _FRAGMENT_CHARS:
+        _FRAGMENTS[key] = text
+    return text
 
 
 def _dump(obj) -> str:
@@ -406,6 +488,15 @@ def _dump(obj) -> str:
     goes to ``json.dumps`` and is re-indented, which is safe since JSON
     text holds no raw newline.  Each distinct int is converted to decimal
     once per dump: a torus answer repeats its |det| up to seven times.
+
+    What answers repeat is written from text kept across dumps, in caches
+    of fixed size: the layout strings of each line prefix up to
+    ``_KEPT_DEPTH`` (``_LAYOUTS``), the sorted key heads of an answer and
+    of its invariants (``_HEADS``), and up to ``_FRAGMENT_CAP`` verdict
+    fragments of at most ``_FRAGMENT_CHARS`` characters (``_FRAGMENTS``),
+    keyed on prefix, trace and a string or small-int value.  Other ints,
+    deeper prefixes and verdicts that find the cache full are written
+    fresh.
     """
     out: list[str] = []
     # exact answers may run past CPython's int-to-str digit limit, which
@@ -414,7 +505,7 @@ def _dump(obj) -> str:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        _write(obj, "\n", out.append, {}, _Layouts())
+        _write(obj, "\n", out.append, {})
     finally:
         sys.set_int_max_str_digits(limit)
     out.append("\n")

@@ -1,4 +1,6 @@
+import ast
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -124,6 +126,59 @@ def test_schema_errors_name_the_field(tmp_path):
     assert "family" in result.stderr
 
 
+def _payload_fields_read() -> dict[str, set[str]]:
+    """For each family, the payload fields its reader in cli.py reads: the
+    field of each _need/_fact/_matrix call, of payload.get and payload[...],
+    and of each `field in payload` test."""
+    tree = ast.parse((SRC / "coincalc" / "cli.py").read_text())
+    read = {}
+    for func in tree.body:
+        if not (isinstance(func, ast.FunctionDef)
+                and func.name.startswith("_run_")):
+            continue
+        family = func.name.removeprefix("_run_").removesuffix("_fact")
+        fields = read[family] = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                if (isinstance(callee, ast.Name)
+                        and callee.id in ("_need", "_fact", "_matrix")):
+                    fields.add(node.args[1].value)
+                elif (isinstance(callee, ast.Attribute)
+                      and callee.attr == "get"
+                      and getattr(callee.value, "id", None) == "payload"):
+                    fields.add(node.args[0].value)
+            elif (isinstance(node, ast.Subscript)
+                  and getattr(node.value, "id", None) == "payload"):
+                fields.add(node.slice.value)
+            elif (isinstance(node, ast.Compare)
+                  and isinstance(node.ops[0], ast.In)
+                  and getattr(node.comparators[0], "id", None) == "payload"):
+                fields.add(node.left.value)
+    return read
+
+
+def _payload_fields_documented() -> dict[str, set[str]]:
+    """For each family section of docs/schemas.md, the backquoted names in
+    the first column of its field table."""
+    text = (ROOT / "docs" / "schemas.md").read_text()
+    documented = {}
+    for section in re.split(r"^### ", text, flags=re.MULTILINE)[1:]:
+        family, _, body = section.partition("\n")
+        body = body.split("\n## ")[0]  # up to the next top-level section
+        rows = re.findall(r"^\| ([^|]+) \|", body, flags=re.MULTILINE)
+        documented[family.strip()] = {
+            name for row in rows for name in re.findall(r"`([^`]+)`", row)}
+    return documented
+
+
+def test_payload_fields_match_the_schema_doc():
+    from coincalc.cli import FAMILIES
+    read = _payload_fields_read()
+    assert sorted(read) == sorted(FAMILIES)
+    assert read == _payload_fields_documented()
+
+
 def test_unreadable_file_is_input_error():
     result = run_cli("query", "/no/such/file.json")
     assert result.returncode == 2
@@ -225,6 +280,108 @@ def test_dump_matches_json_dumps(value):
     limit = sys.get_int_max_str_digits()
     assert _dump(value) == reference_dump(value)
     assert sys.get_int_max_str_digits() == limit
+
+
+FIELDS = ["mc", "mcc", "n_sharp", "n_tilde", "n", "n_z", "reidemeister"]
+
+
+def verdict(value, trace=("Thm1.8", "Thm3.7")):
+    return {"trace": list(trace), "value": value}
+
+
+def answer(invariants, qid="edge", **extra):
+    return {"id": qid, "factbase_version": "1.0.0", "invariants": invariants,
+            "warnings": [], **extra}
+
+
+def nested(depth, leaf):
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
+# values shaped almost like a verdict or an answer, in an order that first
+# fills the fragment cache with look-alikes of the later ones (1 before
+# True and 1.0, "unknown" before a trace of other types)
+NEAR_VERDICTS = [
+    verdict(1), verdict(True), verdict(1.0), verdict(False), verdict(0),
+    verdict(None), verdict(-3), verdict(2.5), verdict(BIG), verdict(-BIG),
+    verdict(10 ** 4300), verdict(99), verdict(100), verdict("unknown"),
+    verdict("≥ Ñ\n"), verdict([1, "x"]), verdict({"b": 1, "a": BIG}),
+    verdict(1, trace=()), verdict(1, trace=["Thm1.8", 3]),
+    verdict(1, trace=["Thm1.8", None]), verdict(1, trace=[["Thm1.8"]]),
+    {"trace": ("Thm1.8",), "value": 1}, {"trace": "Thm1.8", "value": 1},
+    {"trace": None, "value": "unknown"}, {"trace": ["Thm1.8"]},
+    {"value": 1}, {"trace": ["Thm1.8"], "value": 1, "extra": 2},
+    {"value": 1, "trace": ["Thm1.8"]},
+]
+NEAR_ANSWERS = [
+    answer({key: verdict(i) for i, key in enumerate(FIELDS)}),
+    answer({key: verdict(i) for i, key in enumerate(reversed(FIELDS))}),
+    answer({key: verdict(i) for i, key in enumerate(FIELDS[:-1])}),
+    answer({**{key: verdict(1) for key in FIELDS}, "extra": verdict(1)}),
+    answer({key: i for i, key in enumerate(FIELDS)}),
+    answer({key: [key] for key in FIELDS}),
+    answer({}, error="payload must be a JSON object"),
+    answer({"wecken_condition": verdict("yes")}, qid=None),
+    answer({key: verdict(BIG) for key in FIELDS}, qid=verdict(1)),
+    {"warnings": [], "invariants": {}, "id": 3, "factbase_version": "1"},
+    answer({key: verdict(1) for key in FIELDS},
+           qid=nested(985, verdict(1))),
+]
+
+
+@pytest.mark.parametrize("value", NEAR_VERDICTS + NEAR_ANSWERS)
+def test_dump_fast_paths_match_json_dumps(value):
+    # each value alone, as each of an answer's invariants, and in a batch;
+    # the coincalc process has room for 985 levels of id, and pytest's own
+    # frames need room on top of that
+    limit = sys.get_int_max_str_digits()
+    frames = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + 200)
+    as_invariants = answer(dict.fromkeys(FIELDS, value))
+    try:
+        for wrapped in (value, as_invariants, [as_invariants]):
+            assert _dump(wrapped) == reference_dump(wrapped)
+            assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.setrecursionlimit(frames)
+
+
+def test_dump_caches_stay_bounded(monkeypatch):
+    from coincalc import cli
+    monkeypatch.setattr(cli, "_FRAGMENTS", {})
+    stiefel = run_query({"id": "x", "family": "stiefel",
+                         "payload": {"r": 7, "k": 3}})
+    _dump(stiefel)
+    # an answer's key heads are prebuilt, and its verdicts are kept
+    assert ("\n", tuple(stiefel)) in cli._HEADS
+    assert ("\n  ", tuple(stiefel["invariants"])) in cli._HEADS
+    assert cli._FRAGMENTS
+
+    limit = sys.get_int_max_str_digits()
+    for i in range(3000):
+        fresh = 10 ** 4400 + i if i % 100 == 0 else 10 ** 30 + i
+        trace = [f"Thm{i}", "x" * (i % 600)]
+        deep = nested(10, verdict(1, trace))  # past the kept depth
+        invariants = {key: verdict(fresh if j else i % 150, trace)
+                      for j, key in enumerate(FIELDS)}
+        value = answer(invariants, qid=deep if i % 10 == 0 else i)
+        _dump(value if i % 2 else [value])
+        assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(TypeError):
+        _dump(answer({}, qid=object()))
+    assert sys.get_int_max_str_digits() == limit
+
+    assert len(cli._FRAGMENTS) == cli._FRAGMENT_CAP  # filled, not past
+    assert all(len(text) <= cli._FRAGMENT_CHARS
+               for text in cli._FRAGMENTS.values())
+    # a kept value is a string or a small int, never a per-query one
+    assert all(type(key[2]) is str or 0 <= key[2] < cli._SMALL_INT
+               for key in cli._FRAGMENTS if len(key) == 3)
+    assert all(key[0] in cli._LAYOUTS for key in cli._FRAGMENTS)
+    assert len(cli._LAYOUTS) == cli._KEPT_DEPTH
+    assert len(cli._HEADS) == cli._KEPT_DEPTH * len(cli._SHAPES)
 
 
 @pytest.mark.parametrize("rows, m, n", [
@@ -399,6 +556,16 @@ def test_golden_corpus_bytes():
     queries = json.loads((DATA / "golden_queries.json").read_text())
     expected = (DATA / "golden_answers.json").read_text()
     assert _dump(run_batch(queries)) == expected
+
+
+def test_golden_answers_one_at_a_time():
+    # each answer as `coincalc query` writes it, one indent level shallower
+    # than in a batch
+    queries = json.loads((DATA / "golden_queries.json").read_text())
+    expected = json.loads((DATA / "golden_answers.json").read_text())
+    assert len(queries) == len(expected)
+    for query, golden in zip(queries, expected):
+        assert _dump(run_query(query)) == reference_dump(golden), query["id"]
 
 
 def test_golden_corpus_via_cli():
