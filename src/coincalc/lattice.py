@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from math import gcd, prod
 from typing import NamedTuple, Sequence
 
 from .errors import DescriptorError
-from .verdict import INFINITE, ExtNat
+from .verdict import INFINITE, ExtNat, Record, _set
 
 # the oracle enumerates one coset representative per element of a finite
 # quotient; refuse quotients past desk scale rather than thrash
@@ -36,13 +35,16 @@ def _check_int(x) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Rectangular integer matrix, row-major, immutable."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -130,22 +132,22 @@ def _det_rows(rows: list[list[int]]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(Record):
     """Finitely generated abelian group in invariant-factor form.
 
     torsion is the chain d_1 | d_2 | ... with every d_i >= 2; the group is
     Z/d_1 + ... + Z/d_k + Z^free_rank.
     """
 
-    torsion: tuple[int, ...] = ()
-    free_rank: int = 0
+    __slots__ = ("torsion", "free_rank")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, torsion: tuple[int, ...] = (), free_rank: int = 0):
+        _set(self, "torsion", torsion)
+        _set(self, "free_rank", free_rank)
+        if free_rank < 0:
             raise DescriptorError("free rank must be nonnegative")
         previous = None
-        for d in self.torsion:
+        for d in torsion:
             _check_int(d)
             if d < 2:
                 raise DescriptorError("torsion coefficients must be >= 2")

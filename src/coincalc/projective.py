@@ -10,15 +10,16 @@ the discriminating facts are unknown.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import DescriptorError
 from .verdict import (
     UNKNOWN,
     Fact,
     InvariantBundle,
+    Record,
     Truth,
     Verdict,
+    _set,
     truth_and,
     truth_not,
     no,
@@ -48,25 +49,37 @@ class ProjectiveField(enum.Enum):
 _FIELDS = {field.letter: field for field in ProjectiveField}
 
 
-@dataclass(frozen=True)
-class ProjectivePairDescriptor:
-    field: ProjectiveField
-    n_prime: int
-    m: int
-    fprime_homotopic: Fact = unknown_fact()        # f1' ~ f2', base point free
-    lift2_in_ker_del: Fact = unknown_fact()        # lift killed by boundary
-    lift2_in_ker_Edel: Fact = unknown_fact()       # killed after suspension
-    lift2_antipodal_selfhomotopic: Fact = unknown_fact()  # R only
-    lifts_differ_by_suspension: Fact = unknown_fact()     # R only
-    lifts_equal: Fact = unknown_fact()                    # C/H only
+class ProjectivePairDescriptor(Record):
+    __slots__ = ("field", "n_prime", "m", "fprime_homotopic",
+                 "lift2_in_ker_del", "lift2_in_ker_Edel",
+                 "lift2_antipodal_selfhomotopic",
+                 "lifts_differ_by_suspension", "lifts_equal")
 
-    def __post_init__(self):
-        if self.n_prime < 2:
+    def __init__(
+        self, field: ProjectiveField, n_prime: int, m: int,
+        fprime_homotopic: Fact = unknown_fact(),  # f1' ~ f2', base point free
+        lift2_in_ker_del: Fact = unknown_fact(),  # lift killed by boundary
+        lift2_in_ker_Edel: Fact = unknown_fact(),  # killed after suspension
+        lift2_antipodal_selfhomotopic: Fact = unknown_fact(),  # R only
+        lifts_differ_by_suspension: Fact = unknown_fact(),  # R only
+        lifts_equal: Fact = unknown_fact(),  # C/H only
+    ):
+        _set(self, "field", field)
+        _set(self, "n_prime", n_prime)
+        _set(self, "m", m)
+        _set(self, "fprime_homotopic", fprime_homotopic)
+        _set(self, "lift2_in_ker_del", lift2_in_ker_del)
+        _set(self, "lift2_in_ker_Edel", lift2_in_ker_Edel)
+        _set(self, "lift2_antipodal_selfhomotopic",
+             lift2_antipodal_selfhomotopic)
+        _set(self, "lifts_differ_by_suspension", lifts_differ_by_suspension)
+        _set(self, "lifts_equal", lifts_equal)
+        if n_prime < 2:
             raise DescriptorError(
                 "n' >= 2 required; projective lines are spheres, use the "
                 "sphere engine"
             )
-        if self.m < 2:
+        if m < 2:
             raise DescriptorError("m >= 2 required")
 
     @property

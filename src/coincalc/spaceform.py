@@ -11,15 +11,15 @@ act on odd spheres) but never computes a boundary homomorphism itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .errors import DescriptorError
 from .tables import KervaireStatus, kervaire_status
 from .verdict import (
     Fact,
     InvariantBundle,
+    Record,
     Truth,
     Verdict,
+    _set,
     no,
     rule_facts,
     truth_and,
@@ -29,39 +29,48 @@ from .verdict import (
 )
 
 
-@dataclass(frozen=True)
-class SpaceFormPairDescriptor:
+class SpaceFormPairDescriptor(Record):
     """Pair of maps S^m -> S^n/G with #G = group_order.
 
     The boundary facts are lifting-invariant, so they may be supplied for
     the space form or for its sphere cover interchangeably.
     """
 
-    m: int
-    n: int
-    group_order: int
-    homotopic: Fact = unknown_fact()
-    del_zero: Fact = unknown_fact()       # boundary class vanishes
-    e_del_zero: Fact = unknown_fact()     # suspended boundary vanishes
-    kervaire_one: Fact = unknown_fact()   # only meaningful for m = 2n-2
-    hopf_mod4: int | None = None          # only meaningful for m = 2n-1
-    in_psE_image: Fact = unknown_fact()   # [f1]-[f2] in p_* E(pi)
+    __slots__ = ("m", "n", "group_order", "homotopic", "del_zero",
+                 "e_del_zero", "kervaire_one", "hopf_mod4", "in_psE_image")
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+    def __init__(
+        self, m: int, n: int, group_order: int,
+        homotopic: Fact = unknown_fact(),
+        del_zero: Fact = unknown_fact(),      # boundary class vanishes
+        e_del_zero: Fact = unknown_fact(),    # suspended boundary vanishes
+        kervaire_one: Fact = unknown_fact(),  # only meaningful for m = 2n-2
+        hopf_mod4: int | None = None,         # only meaningful for m = 2n-1
+        in_psE_image: Fact = unknown_fact(),  # [f1]-[f2] in p_* E(pi)
+    ):
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "group_order", group_order)
+        _set(self, "homotopic", homotopic)
+        _set(self, "del_zero", del_zero)
+        _set(self, "e_del_zero", e_del_zero)
+        _set(self, "kervaire_one", kervaire_one)
+        _set(self, "hopf_mod4", hopf_mod4)
+        _set(self, "in_psE_image", in_psE_image)
+        if m < 1 or n < 1:
             raise DescriptorError("dimensions must be >= 1")
-        if self.group_order < 1:
+        if group_order < 1:
             raise DescriptorError("group order must be a positive integer")
-        if self.group_order >= 3 and self.n % 2 == 0:
+        if group_order >= 3 and n % 2 == 0:
             raise DescriptorError(
                 "no group of order >= 3 acts freely on an even sphere "
                 "(the Euler characteristic of the quotient would not be "
                 "an integer multiple)"
             )
-        if self.hopf_mod4 is not None:
-            if self.hopf_mod4 not in (0, 1, 2, 3):
+        if hopf_mod4 is not None:
+            if hopf_mod4 not in (0, 1, 2, 3):
                 raise DescriptorError("hopf_mod4 must lie in {0, 1, 2, 3}")
-            if self.hopf_mod4 % 2:
+            if hopf_mod4 % 2:
                 raise DescriptorError(
                     "the Hopf invariant maps onto 2Z: odd residues mod 4 "
                     "are invalid"
@@ -126,8 +135,9 @@ def resolve(d: SpaceFormPairDescriptor) -> SpaceFormPairDescriptor:
         if in_image.is_unknown():
             in_image = _YES_43
 
-    return replace(d, homotopic=homotopic, del_zero=del_zero,
-                   e_del_zero=e_del, in_psE_image=in_image)
+    return SpaceFormPairDescriptor(d.m, d.n, d.group_order, homotopic,
+                                   del_zero, e_del, d.kervaire_one,
+                                   d.hopf_mod4, in_image)
 
 
 _UNDECIDED = Verdict.unknown()
@@ -242,8 +252,7 @@ def _spaceform_mc(d: SpaceFormPairDescriptor) -> Verdict:
     return _MC_NEEDS_HOMOTOPIC
 
 
-@dataclass(frozen=True)
-class SelfCoincidenceReport:
+class SelfCoincidenceReport(Record):
     """The five conditions of the selfcoincidence chain, as facts.
 
     (i) the boundary class vanishes; (ii) loose by small deformation;
@@ -253,13 +262,24 @@ class SelfCoincidenceReport:
     in the remaining gap, where the chain alone is silent.
     """
 
-    del_vanishes: Fact            # (i)
-    loose_by_small_deformation: Fact  # (ii)
-    loose: Fact                   # (iii), from the chain alone
-    n_sharp_zero: Fact            # (iv)
-    e_del_vanishes: Fact          # (v)
-    mcc_zero_by_cor_1_19: Fact | None
-    implications: tuple[str, ...]
+    __slots__ = ("del_vanishes", "loose_by_small_deformation", "loose",
+                 "n_sharp_zero", "e_del_vanishes", "mcc_zero_by_cor_1_19",
+                 "implications")
+
+    def __init__(self, del_vanishes: Fact,  # (i)
+                 loose_by_small_deformation: Fact,  # (ii)
+                 loose: Fact,  # (iii), from the chain alone
+                 n_sharp_zero: Fact,  # (iv)
+                 e_del_vanishes: Fact,  # (v)
+                 mcc_zero_by_cor_1_19: Fact | None,
+                 implications: tuple[str, ...]):
+        _set(self, "del_vanishes", del_vanishes)
+        _set(self, "loose_by_small_deformation", loose_by_small_deformation)
+        _set(self, "loose", loose)
+        _set(self, "n_sharp_zero", n_sharp_zero)
+        _set(self, "e_del_vanishes", e_del_vanishes)
+        _set(self, "mcc_zero_by_cor_1_19", mcc_zero_by_cor_1_19)
+        _set(self, "implications", implications)
 
 
 _CHAIN_NOTES = (

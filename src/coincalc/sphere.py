@@ -10,22 +10,21 @@ hard inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DescriptorError
 from .verdict import (
     Fact,
     InvariantBundle,
+    Record,
     Truth,
     Verdict,
+    _set,
     no,
     unknown_fact,
     yes,
 )
 
 
-@dataclass(frozen=True)
-class SphereClassDescriptor:
+class SphereClassDescriptor(Record):
     """Pair of maps S^m -> S^n, reduced to the difference class.
 
     ``degrees`` holds (d1, d2) and is required exactly when m = n; the
@@ -34,31 +33,46 @@ class SphereClassDescriptor:
     [f] = [f1'] - [a o f2'].
     """
 
-    m: int
-    n: int
-    degrees: tuple[int, int] | None = None
-    f1_homotopic_a_f2: Fact = unknown_fact()
-    in_suspension_image: Fact = unknown_fact()
-    stable_suspension_nonzero: Fact = unknown_fact()
-    some_stable_hopf_james_nonzero: Fact = unknown_fact()
+    __slots__ = ("m", "n", "degrees", "f1_homotopic_a_f2",
+                 "in_suspension_image", "stable_suspension_nonzero",
+                 "some_stable_hopf_james_nonzero")
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+    def __init__(self, m: int, n: int,
+                 degrees: tuple[int, int] | None = None,
+                 f1_homotopic_a_f2: Fact = unknown_fact(),
+                 in_suspension_image: Fact = unknown_fact(),
+                 stable_suspension_nonzero: Fact = unknown_fact(),
+                 some_stable_hopf_james_nonzero: Fact = unknown_fact()):
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "degrees", degrees)
+        _set(self, "f1_homotopic_a_f2", f1_homotopic_a_f2)
+        _set(self, "in_suspension_image", in_suspension_image)
+        _set(self, "stable_suspension_nonzero", stable_suspension_nonzero)
+        _set(self, "some_stable_hopf_james_nonzero",
+             some_stable_hopf_james_nonzero)
+        if m < 1 or n < 1:
             raise DescriptorError("sphere dimensions must be >= 1")
-        if (self.degrees is not None) != (self.m == self.n):
+        if (degrees is not None) != (m == n):
             raise DescriptorError(
                 "degrees are required exactly when m = n "
                 "(facts mode covers m != n)"
             )
 
 
-@dataclass(frozen=True)
-class _Resolved:
-    homotopic: Fact
-    in_suspension: Fact
-    stable_nonzero: Fact
-    hopf_james_nonzero: Fact
-    degree_gap: int | None  # |difference class degree| for m = n = 1
+class _Resolved(Record):
+    __slots__ = ("homotopic", "in_suspension", "stable_nonzero",
+                 "hopf_james_nonzero", "degree_gap")
+
+    def __init__(self, homotopic: Fact, in_suspension: Fact,
+                 stable_nonzero: Fact, hopf_james_nonzero: Fact,
+                 degree_gap: int | None):
+        # degree_gap: |difference class degree| for m = n = 1
+        _set(self, "homotopic", homotopic)
+        _set(self, "in_suspension", in_suspension)
+        _set(self, "stable_nonzero", stable_nonzero)
+        _set(self, "hopf_james_nonzero", hopf_james_nonzero)
+        _set(self, "degree_gap", degree_gap)
 
 
 _YES_17E, _NO_17E = yes("Thm1.7e"), no("Thm1.7e")

@@ -8,22 +8,21 @@ kills the framed bordism class of SO(k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import DescriptorError
 from .tables import TWO_CHI_FACTS, two_chi_so_vanishes
-from .verdict import Fact, InvariantBundle, Truth, Verdict
+from .verdict import Fact, InvariantBundle, Record, Truth, Verdict, _set
 
 
-@dataclass(frozen=True)
-class StiefelQuery:
-    r: int
-    k: int
-    oriented_target: bool = False
+class StiefelQuery(Record):
+    __slots__ = ("r", "k", "oriented_target")
 
-    def __post_init__(self):
-        if self.k < 1 or self.r < 2 * self.k:
+    def __init__(self, r: int, k: int, oriented_target: bool = False):
+        _set(self, "r", r)
+        _set(self, "k", k)
+        _set(self, "oriented_target", oriented_target)
+        if k < 1 or r < 2 * k:
             raise DescriptorError("need r >= 2k >= 2")
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import json
 import os
-from dataclasses import dataclass
 
 from .errors import DescriptorError, FactBaseError
 from .verdict import (
@@ -26,6 +25,8 @@ from .verdict import (
     UNKNOWN,
     ExtNat,
     Fact,
+    Record,
+    _set,
     no,
     unknown_fact,
     yes,
@@ -39,11 +40,13 @@ class KervaireStatus(enum.Enum):
     OPEN = "open"  # n = 128
 
 
-@dataclass(frozen=True)
-class PinpointGroupFact:
-    key: str
-    is_trivial: bool
-    order: ExtNat
+class PinpointGroupFact(Record):
+    __slots__ = ("key", "is_trivial", "order")
+
+    def __init__(self, key: str, is_trivial: bool, order: ExtNat):
+        _set(self, "key", key)
+        _set(self, "is_trivial", is_trivial)
+        _set(self, "order", order)
 
 
 # the order markers a linted file may hold in place of a positive integer

@@ -9,22 +9,21 @@ difference homomorphism f1* - f2* on H1, stored as an integer matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DescriptorError
 from .lattice import IntMatrix, cokernel
 from .verdict import (
     INFINITE,
     Fact,
     InvariantBundle,
+    Record,
     Truth,
     Verdict,
+    _set,
     unknown_fact,
 )
 
 
-@dataclass(frozen=True)
-class TorusPairDescriptor:
+class TorusPairDescriptor(Record):
     """Pair of maps M^m -> T^n, reduced to the H1 difference matrix.
 
     ``h1_matrix`` has n rows; its columns generate the image of f1* - f2*.
@@ -33,25 +32,30 @@ class TorusPairDescriptor:
     ``source_is_torus`` is false.
     """
 
-    m: int
-    n: int
-    h1_matrix: IntMatrix
-    source_is_torus: bool
-    top_cohomology_pullback_nonzero: Fact = unknown_fact()
-    det_kills_top: Fact = unknown_fact()
+    __slots__ = ("m", "n", "h1_matrix", "source_is_torus",
+                 "top_cohomology_pullback_nonzero", "det_kills_top")
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+    def __init__(self, m: int, n: int, h1_matrix: IntMatrix,
+                 source_is_torus: bool,
+                 top_cohomology_pullback_nonzero: Fact = unknown_fact(),
+                 det_kills_top: Fact = unknown_fact()):
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "h1_matrix", h1_matrix)
+        _set(self, "source_is_torus", source_is_torus)
+        _set(self, "top_cohomology_pullback_nonzero",
+             top_cohomology_pullback_nonzero)
+        _set(self, "det_kills_top", det_kills_top)
+        if m < 1 or n < 1:
             raise DescriptorError("dimensions must be >= 1")
-        if self.h1_matrix.rows != self.n:
+        if h1_matrix.rows != n:
             raise DescriptorError(
-                f"h1_matrix must have n = {self.n} rows, "
-                f"got {self.h1_matrix.rows}"
+                f"h1_matrix must have n = {n} rows, got {h1_matrix.rows}"
             )
-        if self.source_is_torus and self.h1_matrix.cols != self.m:
+        if source_is_torus and h1_matrix.cols != m:
             raise DescriptorError(
                 "torus source: h1_matrix needs one column per source "
-                f"generator (m = {self.m}, got {self.h1_matrix.cols})"
+                f"generator (m = {m}, got {h1_matrix.cols})"
             )
 
 

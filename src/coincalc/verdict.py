@@ -10,7 +10,7 @@ pair of maps.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import DescriptorError
@@ -40,17 +40,61 @@ def truth_not(a: Truth) -> Truth:
     return Truth.UNKNOWN
 
 
-@dataclass(frozen=True)
-class Fact:
+_set = object.__setattr__  # how a record's __init__ fills its slots
+
+
+def _frozen(verb: str, name: str):
+    from dataclasses import FrozenInstanceError  # only a misuse pays for it
+    raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+
+class Record:
+    """An immutable record of the fields named in ``__slots__``, which its
+    ``__init__`` fills with ``_set``.  It compares, hashes, shows, copies
+    and pickles as a frozen dataclass of those fields would, but no code is
+    generated for it when its module is imported."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # _values: the field values as one tuple, read in C; every record
+        # has two fields or more, for which attrgetter returns a tuple
+        cls._values = property(attrgetter(*cls.__slots__))
+
+    def __setattr__(self, name, value):
+        _frozen("assign to", name)
+
+    def __delattr__(self, name):
+        _frozen("delete", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={value!r}" for name, value
+                            in zip(self.__slots__, self._values)])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values
+
+
+class Fact(Record):
     """A truth value and the id of the registered rule that derived it, or
     "" for a value the user supplied."""
 
-    truth: Truth
-    rule: str
+    __slots__ = ("truth", "rule")
 
-    def __post_init__(self):
-        if self.rule and self.rule not in REGISTRY:
-            raise KeyError(f"unregistered rule identifier: {self.rule!r}")
+    def __init__(self, truth: Truth, rule: str):
+        _set(self, "truth", truth)
+        _set(self, "rule", rule)
+        if rule and rule not in REGISTRY:
+            raise KeyError(f"unregistered rule identifier: {rule!r}")
 
     def is_yes(self) -> bool:
         return self.truth is Truth.YES
@@ -130,29 +174,27 @@ def ext_le(a: ExtNat, b: ExtNat) -> bool:
     return a <= b
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """An extended-natural answer plus the rule identifiers justifying it.
 
     Finite and Infinite verdicts must carry a nonempty trace; every trace
     entry must be a registered rule identifier.
     """
 
-    value: ExtNat
-    trace: tuple[str, ...] = ()
+    __slots__ = ("value", "trace")
 
-    def __post_init__(self):
-        if isinstance(self.value, bool) or not isinstance(
-            self.value, (int, Special)
-        ):
-            raise DescriptorError(f"invalid verdict value {self.value!r}")
-        if isinstance(self.value, int) and self.value < 0:
+    def __init__(self, value: ExtNat, trace: tuple[str, ...] = ()):
+        _set(self, "value", value)
+        _set(self, "trace", trace)
+        if isinstance(value, bool) or not isinstance(value, (int, Special)):
+            raise DescriptorError(f"invalid verdict value {value!r}")
+        if isinstance(value, int) and value < 0:
             raise DescriptorError("verdict values are nonnegative")
-        if self.value is not UNKNOWN and not self.trace:
+        if value is not UNKNOWN and not trace:
             raise DescriptorError(
                 "a finite or infinite verdict needs a nonempty trace"
             )
-        for rule_id in self.trace:
+        for rule_id in trace:
             if rule_id not in REGISTRY:
                 raise KeyError(f"unregistered rule identifier: {rule_id!r}")
 
@@ -175,17 +217,26 @@ class Verdict:
 _UNKNOWN_VERDICT = Verdict.unknown()
 
 
-@dataclass(frozen=True)
-class InvariantBundle:
+class InvariantBundle(Record):
     """The seven invariants of one pair of maps, each as a Verdict."""
 
-    mc: Verdict = _UNKNOWN_VERDICT
-    mcc: Verdict = _UNKNOWN_VERDICT
-    n_sharp: Verdict = _UNKNOWN_VERDICT
-    n_tilde: Verdict = _UNKNOWN_VERDICT
-    n: Verdict = _UNKNOWN_VERDICT
-    n_z: Verdict = _UNKNOWN_VERDICT
-    reidemeister: Verdict = _UNKNOWN_VERDICT
+    __slots__ = ("mc", "mcc", "n_sharp", "n_tilde", "n", "n_z",
+                 "reidemeister")
+
+    def __init__(self, mc: Verdict = _UNKNOWN_VERDICT,
+                 mcc: Verdict = _UNKNOWN_VERDICT,
+                 n_sharp: Verdict = _UNKNOWN_VERDICT,
+                 n_tilde: Verdict = _UNKNOWN_VERDICT,
+                 n: Verdict = _UNKNOWN_VERDICT,
+                 n_z: Verdict = _UNKNOWN_VERDICT,
+                 reidemeister: Verdict = _UNKNOWN_VERDICT):
+        _set(self, "mc", mc)
+        _set(self, "mcc", mcc)
+        _set(self, "n_sharp", n_sharp)
+        _set(self, "n_tilde", n_tilde)
+        _set(self, "n", n)
+        _set(self, "n_z", n_z)
+        _set(self, "reidemeister", reidemeister)
 
 
 # bundle fields in decreasing chain order, with display names

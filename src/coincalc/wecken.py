@@ -11,14 +11,15 @@ the honest fallback Unknown.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import ConsistencyError, DescriptorError
 from .tables import KervaireStatus, kervaire_status, pinpoint
 from .verdict import (
     INFINITE,
     Fact,
+    Record,
     Truth,
+    _set,
     no,
     rule_facts,
     unknown_fact,
@@ -45,16 +46,17 @@ class TargetFamily(enum.Enum):
 _TARGET_FAMILIES = {family.value: family for family in TargetFamily}
 
 
-@dataclass(frozen=True)
-class WeckenQuery:
-    m: int
-    n: int
-    target_family: TargetFamily = TargetFamily.SPHERE
-    # GeneralN only:
-    noncompact_or_chi_zero: Fact = unknown_fact()
+class WeckenQuery(Record):
+    __slots__ = ("m", "n", "target_family", "noncompact_or_chi_zero")
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+    def __init__(self, m: int, n: int,
+                 target_family: TargetFamily = TargetFamily.SPHERE,
+                 noncompact_or_chi_zero: Fact = unknown_fact()):  # GeneralN
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "target_family", target_family)
+        _set(self, "noncompact_or_chi_zero", noncompact_or_chi_zero)
+        if m < 1 or n < 1:
             raise DescriptorError("dimensions must be >= 1")
 
 
@@ -150,18 +152,26 @@ def wecken_condition(q: WeckenQuery) -> Fact:
     return _RULE_FACTS[rule_id][truth]
 
 
-@dataclass(frozen=True)
-class CoincidenceProducingReport:
+class CoincidenceProducingReport(Record):
     """Conditions (ii), (iii), (iii'), (iii'') of the one-map looseness
     chain: small-deformation looseness implies looseness implies not
     coincidence producing, the last detected by the punctured-target image
     of the boundary class."""
 
-    loose_by_small_deformation: Fact  # (ii)
-    loose: Fact                       # (iii)
-    not_coincidence_producing: Fact   # (iii')
-    j_image_vanishes: Fact            # (iii'')
-    implications: tuple[str, ...]
+    __slots__ = ("loose_by_small_deformation", "loose",
+                 "not_coincidence_producing", "j_image_vanishes",
+                 "implications")
+
+    def __init__(self, loose_by_small_deformation: Fact,  # (ii)
+                 loose: Fact,  # (iii)
+                 not_coincidence_producing: Fact,  # (iii')
+                 j_image_vanishes: Fact,  # (iii'')
+                 implications: tuple[str, ...]):
+        _set(self, "loose_by_small_deformation", loose_by_small_deformation)
+        _set(self, "loose", loose)
+        _set(self, "not_coincidence_producing", not_coincidence_producing)
+        _set(self, "j_image_vanishes", j_image_vanishes)
+        _set(self, "implications", implications)
 
 
 _THM126 = rule_facts("Thm1.26")
@@ -251,12 +261,15 @@ def nsharp_restrictions(
     return _UNKNOWN_THM133
 
 
-@dataclass(frozen=True)
-class NielsenValueSet:
+class NielsenValueSet(Record):
     """Possible values of the four Nielsen numbers for pairs from S^m."""
 
-    values: tuple[int | object, ...]
-    rule: str = "Thm1.34"
+    __slots__ = ("values", "rule")
+
+    def __init__(self, values: tuple[int | object, ...],
+                 rule: str = "Thm1.34"):
+        _set(self, "values", values)
+        _set(self, "rule", rule)
 
 
 def nielsen_value_set(pi1_count: int | object,

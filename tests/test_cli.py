@@ -599,8 +599,8 @@ ENGINES = {f"coincalc.{name}" for name in (
     "wecken")}
 
 
-def engines_imported(*argv):
-    """The engine modules a coincalc process imports to run argv."""
+def modules_imported(*argv):
+    """The modules a coincalc process has imported once it has run argv."""
     result = run_python("-c", textwrap.dedent(f"""
         import json, sys
         from coincalc.cli import main
@@ -609,7 +609,12 @@ def engines_imported(*argv):
         sys.exit(code)
         """))
     assert result.returncode == 0, result.stderr
-    return ENGINES & set(json.loads(result.stdout.splitlines()[-1]))
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def engines_imported(*argv):
+    """The engine modules a coincalc process imports to run argv."""
+    return ENGINES & modules_imported(*argv)
 
 
 def test_torus_query_imports_no_other_engine(tmp_path):
@@ -624,6 +629,56 @@ def test_torus_query_imports_no_other_engine(tmp_path):
 def test_wecken_command_imports_no_lattice():
     assert engines_imported("wecken", "-m", "11", "-n", "6") == {
         "coincalc.wecken"}
+
+
+# dataclasses and the modules it imports to generate each class's methods;
+# coincalc's records are plain classes, so no process needs them
+CODEGEN = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+GOLDEN_OF_FAMILY = {
+    "torus": "torus-diag-2-3", "sphere": "circle-degrees-2-5",
+    "spaceform": "spaceform-generic-branch", "projective": "projective-row1",
+    "stiefel": "stiefel-5-2", "wecken": "wecken-11-6",
+    "fixedpoint": "fixedpoint-negative-surface",
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_OF_FAMILY))
+def test_query_process_imports_no_dataclasses(family, tmp_path):
+    queries = json.loads((DATA / "golden_queries.json").read_text())
+    query = next(q for q in queries if q["id"] == GOLDEN_OF_FAMILY[family])
+    assert query["family"] == family
+    assert not CODEGEN & modules_imported("query",
+                                          write_query(tmp_path, query))
+
+
+@pytest.mark.parametrize("argv", [
+    ("wecken", "-m", "11", "-n", "6"),
+    ("stiefel", "-r", "7", "-k", "3"),
+], ids=["wecken", "stiefel"])
+def test_command_process_imports_no_dataclasses(argv):
+    assert not CODEGEN & modules_imported(*argv)
+
+
+def _imports_run_at_import(node):
+    """The import statements that run when the module of ``node`` is
+    imported: those outside every function body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _imports_run_at_import(child)
+
+
+def test_no_module_imports_dataclasses_at_import():
+    offenders = []
+    for path in sorted((SRC / "coincalc").glob("*.py")):
+        for node in _imports_run_at_import(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import) else [node.module])
+            if any(name and name.split(".")[0] == "dataclasses"
+                   for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_first_wecken_query_runs_no_grid_scan():
@@ -700,6 +755,8 @@ TRACED = [
     ("stiefel", "stiefel_selfcoincidence", "stiefel-7-3"),
     ("wecken", "wecken_condition", "wecken-7-5"),
     ("wecken", "fixed_point_wecken", "fixedpoint-negative-surface"),
+    ("lattice", "IntMatrix.from_rows", "torus-diag-2-3"),
+    ("lattice", "IntMatrix.__post_init__", "torus-diag-2-3"),
 ]
 
 
@@ -709,14 +766,23 @@ def test_traced_attribute_is_called_by_a_query(module, attr, qid, tmp_path,
                                                monkeypatch, capsys):
     import importlib
     owner = importlib.import_module(f"coincalc.{module}")
-    original = getattr(owner, attr)
+    *classes, attr = attr.split(".")
+    for name in classes:
+        owner = getattr(owner, name)
+    # a class attribute is read from the class __dict__, as the tracer reads
+    # it, so that a classmethod is wrapped as one
+    original = (owner.__dict__[attr] if isinstance(owner, type)
+                else getattr(owner, attr))
+    is_classmethod = isinstance(original, classmethod)
+    fn = original.__func__ if is_classmethod else original
     calls = []
 
     def spy(*args, **kwargs):
         calls.append(args)
-        return original(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(owner, attr, spy)
+    monkeypatch.setattr(owner, attr,
+                        classmethod(spy) if is_classmethod else spy)
     queries = json.loads((DATA / "golden_queries.json").read_text())
     query = next(q for q in queries if q["id"] == qid)
     assert main(["query", write_query(tmp_path, query)]) == 0
