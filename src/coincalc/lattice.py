@@ -6,10 +6,13 @@ value is allowed to overflow because none can.  ``smith_normal_form`` runs
 the gcd-pivot elimination ``_reduce`` with the U and V transforms, so the
 factorization D = U * A * V is returned and can be checked exactly.
 ``invariant_factors`` builds no transforms: one fraction-free (Bareiss)
-elimination yields |det| and a multiple of a determinantal divisor, which
-certifies the factors or bounds a Smith reduction modulo that multiple
-(``_smith_mod``), whose entries never outgrow it.  ``cokernel`` reads
-only those factors.
+elimination, on odd pivots where it can, yields |det| and a multiple g of a
+determinantal divisor, which certifies the factors or bounds a Smith
+reduction modulo g (``_smith_mod``), whose entries never outgrow it.  By
+Sylvester's identity each block of that elimination is its pivot minor
+times a Schur complement, so the reduction runs on the latest block of the
+last few whose pivot minor is prime to g, and on the whole matrix only when
+none is.  ``cokernel`` reads only those factors.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ from .verdict import INFINITE, ExtNat, Record, _set
 _ORACLE_REGION_CAP = 5_000_000
 
 _INT_ONLY = frozenset({int})
+
+# how many steps back from its last one invariant_factors keeps the blocks
+# of its elimination, on which _smith_mod may run
+_WINDOW = 4
 
 
 def _check_int(x) -> int:
@@ -354,28 +361,34 @@ def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     """The nonzero invariant factors d_1 | d_2 | ... of ``a``: the same as
     ``smith_normal_form(a).divisors``.
 
-    One fraction-free (Bareiss) elimination with complete pivoting gives
-    the rank and, before each step k = 0, 1, ..., a trailing block of
-    (k+1)-minors.  The block before the last step but one holds
-    (rank-1)-minors, so its gcd g is a multiple of the (rank-1)-th
-    determinantal divisor, their gcd over all minors; the gcd G of the
-    block before the last step is a multiple of the rank-th.  A square
-    matrix of full rank with g = 1 has the factors (1, ..., 1, |det|); with
-    g > 1 its first n-1 factors divide g and come from a Smith reduction
-    modulo g, and the last is |det| over their product.  Any other matrix
-    has its factors from a Smith reduction modulo G, or all 1 when G = 1."""
+    One fraction-free (Bareiss) elimination gives the rank and, after each
+    step k, a block of (k+1)-minors that is p_k, the k-minor of the pivots,
+    times the Schur complement (Sylvester's identity).  Each pivot is an odd
+    entry where the block has one, else its first nonzero entry, so p_k
+    stays odd wherever A mod 2 allows.  Let e be n-1 for a square matrix of
+    full rank and the rank otherwise.  The gcd g of the e-minors in the
+    block after step e-1 is a multiple of d_1 ... d_e: if g = 1 they are
+    all 1, else each is its gcd with g.  Over the primes of g the matrix is
+    I_k plus the block after step k when gcd(p_k, g) = 1, so ``_smith_mod``
+    computes those gcds modulo g on the latest such block of the last
+    ``_WINDOW`` steps, or on the whole matrix (k = 0, p_0 = 1).  A square
+    matrix of full rank has |det| / (d_1 ... d_(n-1)) as its last factor."""
     rows = a.to_rows()
     if a.rows > a.cols:  # A and its transpose share invariant factors
         rows = [list(col) for col in zip(*rows)]
     block, prev, rank = rows, 1, 0
-    older = old = None  # the blocks before the last two steps
+    steps = deque([(1, rows)], _WINDOW + 1)  # (p_k, block after step k)
     while block:
         pivot = next(((i, j) for i, row in enumerate(block)
-                      for j, x in enumerate(row) if x), None)
+                      for j, x in enumerate(row) if x & 1), None) or next(
+            ((i, j) for i, row in enumerate(block)
+             for j, x in enumerate(row) if x), None)
         if pivot is None:
             break
         i, j = pivot
         top = block[i]
+        if not rank:
+            lead = top
         p = top[j]
         top = top[:j] + top[j + 1:]
         nxt = []
@@ -389,21 +402,27 @@ def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
                 nxt.append(row)
             else:
                 nxt.append([p * x // prev for x in row])
-        older, old, block, prev = old, block, nxt, p
+        block, prev = nxt, p
         rank += 1
+        steps.append((p, nxt))
     if not rank:
         return ()
-    if rank == len(rows) == len(rows[0]):
-        det = abs(prev)
-        g = _block_gcd(older) if older else 1
-        if g == 1:
-            return (1,) * (rank - 1) + (det,)
-        head = _smith_mod(rows, g)[:rank - 1]
-        return head + (det // prod(head),)
-    big_g = _block_gcd(old)
-    if big_g == 1:
-        return (1,) * rank
-    return _smith_mod(rows, big_g)[:rank]
+    square = rank == len(rows) == len(rows[0])
+    e = rank - square
+    first = rank + 1 - len(steps)  # the step k of steps[0]
+    g = _block_gcd(steps[e - 1 - first][1]) if e else 1
+    if g == 1:
+        head = (1,) * e
+    else:
+        # g and every p_k with k >= 1 are multiples of the gcd of the first
+        # pivot row: past 1 (a diagonal chain, say) only k = 0 qualifies
+        k = 0
+        if gcd(*lead) == 1:
+            k = next((k for k in range(e - 1, max(first, 1) - 1, -1)
+                      if gcd(steps[k - first][0], g) == 1), 0)
+        head = ((1,) * k + _smith_mod(
+            steps[k - first][1] if k else rows, g))[:e]
+    return head + (abs(prev) // prod(head),) if square else head
 
 
 def cokernel(a: IntMatrix) -> FGAbelianGroup:

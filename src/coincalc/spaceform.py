@@ -135,9 +135,14 @@ def resolve(d: SpaceFormPairDescriptor) -> SpaceFormPairDescriptor:
         if in_image.is_unknown():
             in_image = _YES_43
 
-    return SpaceFormPairDescriptor(d.m, d.n, d.group_order, homotopic,
-                                   del_zero, e_del, d.kervaire_one,
-                                   d.hopf_mod4, in_image)
+    # only facts change, and __init__ checks none of them: the copy skips
+    # the checks that d passed when it was built
+    resolved = object.__new__(SpaceFormPairDescriptor)
+    for name, value in zip(resolved.__slots__, (
+            d.m, d.n, d.group_order, homotopic, del_zero, e_del,
+            d.kervaire_one, d.hopf_mod4, in_image)):
+        _set(resolved, name, value)
+    return resolved
 
 
 _UNDECIDED = Verdict.unknown()

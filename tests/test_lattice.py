@@ -17,6 +17,7 @@ from coincalc import (
     invariant_factors,
     smith_normal_form,
 )
+from coincalc import lattice
 from coincalc.lattice import _smith_mod
 
 
@@ -194,13 +195,30 @@ def chain_products(draw, max_side=6):
     return draw(unimodular(n)).mul(d).mul(draw(unimodular(n)))
 
 
+@st.composite
+def udv_products(draw, max_side=7):
+    """U * D * V with D an r x c diagonal chain whose steps are 1, 2, 3, 4,
+    6 and 12 and whose last entries may be 0: square, wide, tall and
+    rank-deficient."""
+    r, c = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    k = min(r, c)
+    steps = draw(st.lists(st.sampled_from((1, 1, 2, 3, 4, 6, 12)),
+                          min_size=k, max_size=k))
+    rank = draw(st.integers(0, k))
+    chain = list(itertools.accumulate(steps, lambda x, y: x * y))
+    chain[rank:] = [0] * (k - rank)
+    d = IntMatrix(r, c, tuple(chain[i] if i == j else 0
+                              for i in range(r) for j in range(c)))
+    return draw(unimodular(r)).mul(d).mul(draw(unimodular(c)))
+
+
 def line_vectors():
     return st.lists(st.integers(-30, 30), min_size=1, max_size=8).flatmap(
         lambda xs: st.sampled_from((IntMatrix.from_rows([xs]),
                                     IntMatrix.from_rows([[x] for x in xs]))))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(st.one_of(
     matrices(max_side=6, max_entry=20),  # square, wide and tall
     matrices(max_side=5).map(_with_dependent_row),
@@ -210,9 +228,58 @@ def line_vectors():
     st.tuples(matrices(max_side=6), st.integers(0, 5),
               st.integers(2, 12)).map(_with_scaled_column),
     chain_products(),
+    udv_products(),
 ))
 def test_invariant_factors_match_snf_divisors_by_shape(a):
     assert invariant_factors(a) == smith_normal_form(a).divisors
+
+
+def _smith_mod_calls(monkeypatch):
+    """Record the row count and modulus of every block that
+    invariant_factors hands to ``_smith_mod``."""
+    calls = []
+
+    def spy(rows, g):
+        calls.append((len(rows), g))
+        return _smith_mod(rows, g)
+
+    monkeypatch.setattr(lattice, "_smith_mod", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 12, 16])
+def test_smith_mod_runs_on_a_window_block(monkeypatch, n):
+    # A mod 2 has rank n-2, so the odd pivot rule keeps p_1 ... p_(n-2)
+    # odd and a modulus g that is a power of 2 is prime to p_(n-2).  The
+    # (n-1)-minors that g is the gcd of may share an odd prime by chance;
+    # the pivot minors of the window may share it too, and then the whole
+    # matrix is reduced.
+    calls = _smith_mod_calls(monkeypatch)
+    chain = (1,) * (n - 2) + (2, 6)
+    rng = random.Random(n)
+    for _ in range(8):
+        a = (_random_unimodular(rng, n, shears=4 * n)
+             .mul(IntMatrix.diagonal(chain))
+             .mul(_random_unimodular(rng, n, shears=4 * n)))
+        assert invariant_factors(a) == chain
+    assert len(calls) == 8
+    two_powers = [rows for rows, g in calls if g & (g - 1) == 0]
+    assert len(two_powers) >= 4
+    assert all(rows <= lattice._WINDOW for rows in two_powers)
+
+
+@pytest.mark.parametrize("chain", [
+    (2, 6, 12, 24), (3, 3, 9), (4, 8),
+    tuple(itertools.accumulate((10 ** 40 + 1, 2, 3, 10 ** 30 + 7),
+                               lambda x, y: x * y)),
+], ids=lambda chain: f"{len(chain)}x{len(chain)}")
+def test_smith_mod_runs_on_a_whole_diagonal_chain(monkeypatch, chain):
+    # the first pivot row, one entry d_1 > 1, divides g and every pivot
+    # minor, so no block of the elimination qualifies
+    calls = _smith_mod_calls(monkeypatch)
+    for diag in (chain, chain[::-1]):
+        assert invariant_factors(IntMatrix.diagonal(diag)) == chain
+    assert [rows for rows, _ in calls] == [len(chain)] * 2
 
 
 def _padded_diagonal(a):

@@ -17,6 +17,7 @@ from coincalc import (
     validate_bundle,
     wecken_condition,
 )
+from coincalc.spaceform import resolve
 from coincalc.wecken import TargetFamily, WeckenQuery
 
 
@@ -137,6 +138,35 @@ def test_chain_gap_resolved_by_exceptional_equivalences():
     assert report.loose.is_unknown()  # the chain alone is silent
     assert report.mcc_zero_by_cor_1_19.is_no()
     assert report.mcc_zero_by_cor_1_19.rule == "Cor1.19"
+
+
+def test_resolve_builds_no_second_validated_descriptor(monkeypatch):
+    built = []
+    init = SpaceFormPairDescriptor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpaceFormPairDescriptor, "__init__", counting_init)
+    cases = [descriptor(7, 3, 5, hom="no"), descriptor(3, 5, 4),
+             descriptor(11, 6, 2, hom="yes", dz="no", edz="yes"),
+             descriptor(9, 4, 2, edz="no", hopf_mod4=2)]
+    assert len(built) == len(cases)
+    for d in cases:
+        before = len(built)
+        resolved = resolve(d)
+        spaceform_pair_invariants(d)
+        if d.n % 2:
+            spaceform_mc(d)
+        assert len(built) == before  # validated once, when built
+        # the copy holds d's checked fields and passes the checks itself
+        assert resolved == SpaceFormPairDescriptor(*resolved._values)
+        assert resolved._values[:3] == d._values[:3]
+        assert (resolved.kervaire_one, resolved.hopf_mod4) == (
+            d.kervaire_one, d.hopf_mod4)
+    assert resolve(cases[1]).del_zero.rule == "Thm1.15"  # odd n
+    assert resolve(cases[1]).homotopic.rule == "Thm1.10"  # m < n
 
 
 def test_chain_collapses_for_larger_groups():
