@@ -6,6 +6,11 @@ classified families (tori, spheres, spherical space forms, projective
 spaces, Stiefel-to-Grassmann projections), plus a decision engine for the
 Wecken condition.  Every answer carries a trace of registered rule
 identifiers; see docs/rules.md.
+
+The public names below are the descriptor records and engines that
+answers run, and library functions that no answer calls: the Smith normal
+form, and the criteria whose rule ids docs/rules.md lists as emitted by
+library functions only.  Each name is imported on its first use.
 """
 
 from importlib import import_module
@@ -20,12 +25,9 @@ _SUBMODULE = {
         ("errors", ("CoincalcError", "ConsistencyError", "DescriptorError",
                     "FactBaseError")),
         ("lattice", ("IntMatrix", "FGAbelianGroup", "SmithNormalForm",
-                     "smith_normal_form", "cokernel",
-                     "cokernel_bruteforce_oracle", "det_cofactor",
-                     "invariant_factors")),
-        ("verdict", ("Fact", "Truth", "Verdict",
-                     "InvariantBundle", "combine_and", "user_fact",
-                     "validate_bundle", "INFINITE", "UNKNOWN")),
+                     "smith_normal_form", "cokernel", "invariant_factors")),
+        ("verdict", ("Fact", "Truth", "Verdict", "InvariantBundle",
+                     "user_fact", "validate_bundle", "INFINITE", "UNKNOWN")),
         ("tables", ("FactBase", "KervaireStatus", "get_factbase",
                     "set_factbase", "two_chi_so_vanishes",
                     "kervaire_status", "pinpoint")),

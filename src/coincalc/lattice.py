@@ -1,18 +1,22 @@
-"""Exact integer linear algebra: Smith normal form, invariant factors,
-cokernels, and a brute-force coset-counting oracle.
+"""Exact integer linear algebra: invariant factors and cokernels, which
+answer every torus query, and the Smith normal form.
 
 Everything runs on Python's arbitrary-precision integers; no intermediate
-value is allowed to overflow because none can.  ``smith_normal_form`` runs
-the gcd-pivot elimination ``_reduce`` with the U and V transforms, so the
-factorization D = U * A * V is returned and can be checked exactly.
-``invariant_factors`` builds no transforms: one fraction-free (Bareiss)
-elimination, on odd pivots where it can, yields |det| and a multiple g of a
-determinantal divisor, which certifies the factors or bounds a Smith
-reduction modulo g (``_smith_mod``), whose entries never outgrow it.  By
-Sylvester's identity each block of that elimination is its pivot minor
-times a Schur complement, so the reduction runs on the latest block of the
-last few whose pivot minor is prime to g, and on the whole matrix only when
-none is.  ``cokernel`` reads only those factors.
+value is allowed to overflow because none can.  ``invariant_factors``
+builds no transforms: one fraction-free (Bareiss) elimination, on odd
+pivots where it can, yields |det| and a multiple g of a determinantal
+divisor, which certifies the factors or bounds a Smith reduction modulo g
+(``_smith_mod``), whose entries never outgrow it.  By Sylvester's identity
+each block of that elimination is its pivot minor times a Schur
+complement, so the reduction runs on the latest block of the last few
+whose pivot minor is prime to g, and on the whole matrix only when none
+is.  ``cokernel`` reads only those factors.
+
+``smith_normal_form`` runs the gcd-pivot elimination ``_reduce`` with the
+U and V transforms, so the factorization D = U * A * V is returned and can
+be checked exactly.  No answer calls it; the tests check
+``invariant_factors`` against it, and their determinant and coset-counting
+oracles live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -24,10 +28,6 @@ from typing import NamedTuple, Sequence
 
 from .errors import DescriptorError
 from .verdict import INFINITE, ExtNat, Record, _set
-
-# the oracle enumerates one coset representative per element of a finite
-# quotient; refuse quotients past desk scale rather than thrash
-_ORACLE_REGION_CAP = 5_000_000
 
 _INT_ONLY = frozenset({int})
 
@@ -98,46 +98,6 @@ class IntMatrix(Record):
         return [list(self.entries[i * self.cols:(i + 1) * self.cols])
                 for i in range(self.rows)]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def neg(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(-x for x in self.entries))
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DescriptorError("matrix shapes do not compose")
-        a, b = self.to_rows(), other.to_rows()
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                out.append(sum(a[i][k] * b[k][j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
-
-
-def det_cofactor(m: IntMatrix) -> int:
-    """Exact determinant by cofactor expansion (intended for sizes <= 5)."""
-    if m.rows != m.cols:
-        raise DescriptorError("determinant needs a square matrix")
-    return _det_rows(m.to_rows())
-
-
-def _det_rows(rows: list[list[int]]) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    sign = 1
-    for j in range(n):
-        if rows[0][j]:
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            total += sign * rows[0][j] * _det_rows(minor)
-        sign = -sign
-    return total
-
 
 class FGAbelianGroup(Record):
     """Finitely generated abelian group in invariant-factor form.
@@ -167,10 +127,7 @@ class FGAbelianGroup(Record):
     def cardinality(self) -> ExtNat:
         if self.free_rank:
             return INFINITE
-        return prod(self.torsion) if self.torsion else 1
-
-    def is_trivial(self) -> bool:
-        return not self.torsion and self.free_rank == 0
+        return prod(self.torsion)
 
 
 class SmithNormalForm(NamedTuple):
@@ -263,7 +220,10 @@ def _reduce(d: list[list[int]], u: list[list[int]],
 
 def smith_normal_form(a: IntMatrix) -> SmithNormalForm:
     """Diagonalize by unimodular transforms: returns (D, U, V) with
-    D = U * a * V, diagonal entries nonnegative and sorted by divisibility."""
+    D = U * a * V, diagonal entries nonnegative and sorted by divisibility.
+
+    No answer calls this: it is library API, and its ``divisors`` are the
+    test reference for ``invariant_factors``."""
     d = a.to_rows()
     u = IntMatrix.identity(a.rows).to_rows()
     v = IntMatrix.identity(a.cols).to_rows()
@@ -433,110 +393,3 @@ def cokernel(a: IntMatrix) -> FGAbelianGroup:
         free_rank=a.rows - len(divisors),
     )
 
-
-def _rank_by_minors(rows: list[list[int]]) -> int:
-    """Exact rank: the largest k with a nonzero k x k minor.  Independent of
-    the Smith reduction; only sensible for desk-scale matrices."""
-    r, c = len(rows), len(rows[0])
-    for k in range(min(r, c), 0, -1):
-        for row_idx in itertools.combinations(range(r), k):
-            for col_idx in itertools.combinations(range(c), k):
-                sub = [[rows[i][j] for j in col_idx] for i in row_idx]
-                if _det_rows(sub):
-                    return k
-    return 0
-
-
-def _adjugate(rows: list[list[int]]) -> list[list[int]]:
-    n = len(rows)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[p][q] for q in range(n) if q != j]
-                for p in range(n) if p != i
-            ]
-            adj[j][i] = (-1) ** (i + j) * _det_rows(minor)
-    return adj
-
-
-def cokernel_bruteforce_oracle(a: IntMatrix, box: int) -> ExtNat:
-    """Count the cosets of the column lattice of ``a`` in Z^rows by explicit
-    enumeration and union-find; INFINITE when the column rank is deficient.
-
-    Desk-scale only: rows, cols <= 4 and every |entry| <= box.  The region
-    enumerated is one representative per coset of a full-rank square
-    sublattice, so its size is bounded by the Hadamard bound of ``a`` and is
-    never too small by construction.  Deliberately avoids the Smith routine:
-    rank comes from cofactor minors and coset identity from the adjugate.
-    """
-    if a.rows > 4 or a.cols > 4:
-        raise DescriptorError("oracle is desk-scale only: rows, cols <= 4")
-    if any(abs(x) > box for x in a.entries):
-        raise DescriptorError(f"entry exceeds the declared box bound {box}")
-
-    rows = a.to_rows()
-    r = a.rows
-    if _rank_by_minors(rows) < r:
-        return INFINITE
-
-    # full-rank square column submatrix S; |det S| bounds the region
-    det_s = 0
-    for col_idx in itertools.combinations(range(a.cols), r):
-        sub = [[rows[i][j] for j in col_idx] for i in range(r)]
-        det_s = _det_rows(sub)
-        if det_s:
-            square = sub
-            break
-    s = abs(det_s)
-    if s > _ORACLE_REGION_CAP:
-        raise DescriptorError("quotient region exceeds desk scale")
-
-    adj = _adjugate(square)
-
-    def key(vec):
-        # injective on Z^r modulo the span of S: adj * S = det(S) * I
-        return tuple(
-            sum(adj[i][j] * vec[j] for j in range(r)) % s for i in range(r)
-        )
-
-    # enumerate all s cosets of span(S) by unit steps from the origin
-    origin = (0,) * r
-    seen = {key(origin): origin}
-    queue = deque([origin])
-    while queue:
-        z = queue.popleft()
-        for i in range(r):
-            for step in (1, -1):
-                w = list(z)
-                w[i] += step
-                w = tuple(w)
-                kw = key(w)
-                if kw not in seen:
-                    seen[kw] = w
-                    queue.append(w)
-    assert len(seen) == s
-
-    # union-find: quotient further by all columns of ``a``
-    parent = {k: k for k in seen}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    columns = [a.column(j) for j in range(a.cols)]
-    for k, z in seen.items():
-        for col in columns:
-            shifted = tuple(z[i] + col[i] for i in range(r))
-            union(k, key(shifted))
-
-    return sum(1 for k in parent if find(k) == k)

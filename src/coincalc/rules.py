@@ -9,8 +9,6 @@ descriptor field whose value would decide them.
 """
 
 REGISTRY: dict[str, str] = {
-    # generic fact algebra
-    "kleene-and": "three-valued (strong Kleene) conjunction of input facts",
     # torus targets
     "Thm1.8": "torus-to-torus pairs: MCC and all four Nielsen numbers equal "
               "the absolute determinant of the image of the H1 difference; "

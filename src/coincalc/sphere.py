@@ -60,37 +60,21 @@ class SphereClassDescriptor(Record):
             )
 
 
-class _Resolved(Record):
-    __slots__ = ("homotopic", "in_suspension", "stable_nonzero",
-                 "hopf_james_nonzero", "degree_gap")
-
-    def __init__(self, homotopic: Fact, in_suspension: Fact,
-                 stable_nonzero: Fact, hopf_james_nonzero: Fact,
-                 degree_gap: int | None):
-        # degree_gap: |difference class degree| for m = n = 1
-        _set(self, "homotopic", homotopic)
-        _set(self, "in_suspension", in_suspension)
-        _set(self, "stable_nonzero", stable_nonzero)
-        _set(self, "hopf_james_nonzero", hopf_james_nonzero)
-        _set(self, "degree_gap", degree_gap)
-
-
 _YES_17E, _NO_17E = yes("Thm1.7e"), no("Thm1.7e")
 
 
-def _resolve(d: SphereClassDescriptor) -> _Resolved:
+def _resolve(d: SphereClassDescriptor):
+    """The facts homotopic, in_suspension, stable_nonzero and
+    hopf_james_nonzero after the derivations of Thm 1.7, and the degree
+    gap |d1 - d2| for m = n = 1 (else None)."""
     if d.degrees is not None:
         d1, d2 = d.degrees
         antipodal_degree = (-1) ** (d.n + 1)
         vanishes = d1 == antipodal_degree * d2  # the difference class
         nonzero = _NO_17E if vanishes else _YES_17E
-        return _Resolved(
-            homotopic=_YES_17E if vanishes else _NO_17E,
-            in_suspension=_YES_17E,  # suspension is onto pi_n(S^n)
-            stable_nonzero=nonzero,
-            hopf_james_nonzero=nonzero,
-            degree_gap=abs(d1 - d2) if d.n == 1 else None,
-        )
+        # in_suspension is yes: suspension is onto pi_n(S^n)
+        return (_YES_17E if vanishes else _NO_17E, _YES_17E, nonzero,
+                nonzero, abs(d1 - d2) if d.n == 1 else None)
 
     homotopic = d.f1_homotopic_a_f2
     if d.m < d.n or (d.n == 1 and d.m >= 2):
@@ -111,8 +95,7 @@ def _resolve(d: SphereClassDescriptor) -> _Resolved:
             )
         if hopf_james.is_unknown():
             hopf_james = _YES_17E
-    return _Resolved(homotopic, d.in_suspension_image, stable, hopf_james,
-                     degree_gap=None)
+    return homotopic, d.in_suspension_image, stable, hopf_james, None
 
 
 # the verdicts whose value does not come from the degrees, by rule
@@ -140,15 +123,14 @@ _NZ_CODIM_ZERO = Verdict.finite(1, ("Ex3.9-derived",))
 
 
 def sphere_invariants(d: SphereClassDescriptor) -> InvariantBundle:
-    r = _resolve(d)
+    homotopic, in_suspension, stable, hopf_james, gap = _resolve(d)
     m, n = d.m, d.n
-    hom = r.homotopic.truth
+    hom = homotopic.truth
 
     # Reidemeister number
     if n >= 2:
         reid = _REID_ONE
     elif m == 1:
-        gap = r.degree_gap
         reid = (_REID_INFINITE if gap == 0
                 else Verdict.finite(gap, ("Thm1.7a",)))
     else:
@@ -177,7 +159,7 @@ def sphere_invariants(d: SphereClassDescriptor) -> InvariantBundle:
     elif m == n:  # n >= 2, nonzero class, always a suspension
         mc = _MC_ONE
     else:  # m > n >= 2, nonzero class
-        susp = r.in_suspension.truth
+        susp = in_suspension.truth
         if susp is Truth.YES:
             mc = _MC_ONE
         elif susp is Truth.NO:
@@ -192,8 +174,8 @@ def sphere_invariants(d: SphereClassDescriptor) -> InvariantBundle:
         equal = Verdict(mc.value, ("Thm1.7d",)) if m == n == 1 else _ALL_ZERO
         n_tilde = n_ = n_z = equal
     elif hom is Truth.NO:
-        n_tilde = _one_iff(r.hopf_james_nonzero, _NEEDS_HOPF_JAMES)
-        n_ = _one_iff(r.stable_nonzero, _NEEDS_STABLE)
+        n_tilde = _one_iff(hopf_james, _NEEDS_HOPF_JAMES)
+        n_ = _one_iff(stable, _NEEDS_STABLE)
         n_z = _NIELSEN_ZERO if m > n else _NZ_CODIM_ZERO
     else:
         n_tilde = n_ = n_z = _NIELSEN_PENDING

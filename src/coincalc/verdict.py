@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DescriptorError
 from .rules import REGISTRY
@@ -136,19 +136,6 @@ def user_fact(text: str) -> Fact:
 def rule_facts(rule_id: str) -> dict[Truth, Fact]:
     """The three facts a rule can derive, one per truth value."""
     return {t: Fact(t, rule_id) for t in Truth}
-
-
-_KLEENE_AND = rule_facts("kleene-and")
-
-
-def combine_and(facts: Sequence[Fact]) -> Fact:
-    """Strong Kleene conjunction of a nonempty list of facts."""
-    if not facts:
-        raise DescriptorError("combine_and requires at least one fact")
-    truth = Truth.YES
-    for f in facts:
-        truth = truth_and(truth, f.truth)
-    return _KLEENE_AND[truth]
 
 
 class Special(enum.Enum):

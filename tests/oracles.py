@@ -1,0 +1,168 @@
+"""Test oracles for the lattice layer, independent of the Smith reduction.
+
+Determinants come from cofactor expansion, ranks from minors, and the
+order of a cokernel from counting cosets by enumeration and union-find.
+Only sensible at desk scale; no answer runs any of this.
+"""
+
+import itertools
+from collections import deque
+
+from coincalc.errors import DescriptorError
+from coincalc.lattice import IntMatrix
+from coincalc.verdict import INFINITE, ExtNat
+
+# the oracle enumerates one coset representative per element of a finite
+# quotient; refuse quotients past desk scale rather than thrash
+_ORACLE_REGION_CAP = 5_000_000
+
+
+def column(m: IntMatrix, j: int) -> tuple[int, ...]:
+    return tuple(m.entries[i * m.cols + j] for i in range(m.rows))
+
+
+def neg(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(m.rows, m.cols, tuple(-x for x in m.entries))
+
+
+def mul(first: IntMatrix, *rest: IntMatrix) -> IntMatrix:
+    """The product first * rest[0] * rest[1] * ..."""
+    out = first
+    for other in rest:
+        if out.cols != other.rows:
+            raise DescriptorError("matrix shapes do not compose")
+        a, b = out.to_rows(), other.to_rows()
+        out = IntMatrix(out.rows, other.cols, tuple(
+            sum(a[i][k] * b[k][j] for k in range(out.cols))
+            for i in range(out.rows) for j in range(other.cols)))
+    return out
+
+
+def det_cofactor(m: IntMatrix) -> int:
+    """Exact determinant by cofactor expansion (intended for sizes <= 5)."""
+    if m.rows != m.cols:
+        raise DescriptorError("determinant needs a square matrix")
+    return _det_rows(m.to_rows())
+
+
+def _det_rows(rows: list[list[int]]) -> int:
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    total = 0
+    sign = 1
+    for j in range(n):
+        if rows[0][j]:
+            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+            total += sign * rows[0][j] * _det_rows(minor)
+        sign = -sign
+    return total
+
+
+def _rank_by_minors(rows: list[list[int]]) -> int:
+    """Exact rank: the largest k with a nonzero k x k minor."""
+    r, c = len(rows), len(rows[0])
+    for k in range(min(r, c), 0, -1):
+        for row_idx in itertools.combinations(range(r), k):
+            for col_idx in itertools.combinations(range(c), k):
+                sub = [[rows[i][j] for j in col_idx] for i in row_idx]
+                if _det_rows(sub):
+                    return k
+    return 0
+
+
+def _adjugate(rows: list[list[int]]) -> list[list[int]]:
+    n = len(rows)
+    if n == 1:
+        return [[1]]
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [rows[p][q] for q in range(n) if q != j]
+                for p in range(n) if p != i
+            ]
+            adj[j][i] = (-1) ** (i + j) * _det_rows(minor)
+    return adj
+
+
+def cokernel_bruteforce_oracle(a: IntMatrix, box: int) -> ExtNat:
+    """Count the cosets of the column lattice of ``a`` in Z^rows by explicit
+    enumeration and union-find; INFINITE when the column rank is deficient.
+
+    Desk-scale only: rows, cols <= 4 and every |entry| <= box.  The region
+    enumerated is one representative per coset of a full-rank square
+    sublattice, so its size is bounded by the Hadamard bound of ``a`` and is
+    never too small by construction.  Deliberately avoids the Smith routine:
+    rank comes from cofactor minors and coset identity from the adjugate.
+    """
+    if a.rows > 4 or a.cols > 4:
+        raise DescriptorError("oracle is desk-scale only: rows, cols <= 4")
+    if any(abs(x) > box for x in a.entries):
+        raise DescriptorError(f"entry exceeds the declared box bound {box}")
+
+    rows = a.to_rows()
+    r = a.rows
+    if _rank_by_minors(rows) < r:
+        return INFINITE
+
+    # full-rank square column submatrix S; |det S| bounds the region
+    det_s = 0
+    for col_idx in itertools.combinations(range(a.cols), r):
+        sub = [[rows[i][j] for j in col_idx] for i in range(r)]
+        det_s = _det_rows(sub)
+        if det_s:
+            square = sub
+            break
+    s = abs(det_s)
+    if s > _ORACLE_REGION_CAP:
+        raise DescriptorError("quotient region exceeds desk scale")
+
+    adj = _adjugate(square)
+
+    def key(vec):
+        # injective on Z^r modulo the span of S: adj * S = det(S) * I
+        return tuple(
+            sum(adj[i][j] * vec[j] for j in range(r)) % s for i in range(r)
+        )
+
+    # enumerate all s cosets of span(S) by unit steps from the origin
+    origin = (0,) * r
+    seen = {key(origin): origin}
+    queue = deque([origin])
+    while queue:
+        z = queue.popleft()
+        for i in range(r):
+            for step in (1, -1):
+                w = list(z)
+                w[i] += step
+                w = tuple(w)
+                kw = key(w)
+                if kw not in seen:
+                    seen[kw] = w
+                    queue.append(w)
+    assert len(seen) == s
+
+    # union-find: quotient further by all columns of ``a``
+    parent = {k: k for k in seen}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    columns = [column(a, j) for j in range(a.cols)]
+    for k, z in seen.items():
+        for col in columns:
+            shifted = tuple(z[i] + col[i] for i in range(r))
+            union(k, key(shifted))
+
+    return sum(1 for k in parent if find(k) == k)

@@ -25,7 +25,6 @@ from coincalc import (
     TorusPairDescriptor,
     UNKNOWN,
     WeckenQuery,
-    cokernel_bruteforce_oracle,
     hopf_case,
     overlap_disagreements,
     projective_classify,
@@ -38,6 +37,7 @@ from coincalc import (
     wecken_condition,
 )
 from coincalc.tables import FactBase, lint_text
+from oracles import cokernel_bruteforce_oracle
 
 DATA = Path(__file__).parent / "data"
 

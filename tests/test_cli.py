@@ -574,6 +574,38 @@ def test_golden_corpus_via_cli():
     assert result.stdout == (DATA / "golden_answers.json").read_text()
 
 
+# queries for the ids that a query can reach but neither the golden corpus
+# nor the perfbench rounds emit (tests/test_rule_coverage.py pins those);
+# they stay out of golden_queries.json, which the benchmark runs verbatim
+REACHABLE_UNEMITTED = [
+    ("wecken", {"m": 19, "n": 10, "target_family": "Sphere"},
+     "wecken_condition", "no", ["R6"]),
+    ("wecken", {"m": 15, "n": 8, "target_family": "Sphere"},
+     "wecken_condition", "yes", ["R6"]),
+    ("wecken", {"m": 18, "n": 8, "target_family": "Sphere"},
+     "wecken_condition", "yes", ["R7"]),
+    ("wecken", {"m": 13, "n": 6, "target_family": "Sphere"},
+     "wecken_condition", "unknown", ["R8"]),
+    ("spaceform", {"m": 5, "n": 3, "group_order": 2}, "mcc", "unknown",
+     ["Thm1.10", "needs:homotopic"]),
+    ("spaceform", {"m": 13, "n": 6, "group_order": 2, "homotopic": "yes",
+                   "e_del_zero": "yes"}, "mcc", "unknown",
+     ["Thm1.10", "Cor1.19", "needs:del_zero"]),
+    ("spaceform", {"m": 6, "n": 4, "group_order": 2, "homotopic": "yes"},
+     "mcc", "unknown", ["Thm1.10", "needs:e_del_zero"]),
+]
+
+
+@pytest.mark.parametrize(
+    "family, payload, field, value, trace", REACHABLE_UNEMITTED,
+    ids=[f"{case[0]}-{case[1]['m']}-{case[1]['n']}"
+         for case in REACHABLE_UNEMITTED])
+def test_query_reaches_an_id_the_corpus_never_emits(family, payload, field,
+                                                    value, trace):
+    answer = run_query({"id": "x", "family": family, "payload": payload})
+    assert answer["invariants"][field] == {"value": value, "trace": trace}
+
+
 def test_batch_is_deterministic():
     queries = json.loads((DATA / "golden_queries.json").read_text())
     assert _dump(run_batch(queries)) == _dump(run_batch(queries))

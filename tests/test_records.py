@@ -13,7 +13,7 @@ from coincalc.errors import DescriptorError
 from coincalc.lattice import FGAbelianGroup, IntMatrix
 from coincalc.projective import ProjectiveField, ProjectivePairDescriptor
 from coincalc.spaceform import SelfCoincidenceReport, SpaceFormPairDescriptor
-from coincalc.sphere import SphereClassDescriptor, _Resolved
+from coincalc.sphere import SphereClassDescriptor
 from coincalc.stiefel import StiefelQuery
 from coincalc.tables import PinpointGroupFact
 from coincalc.torus import TorusPairDescriptor
@@ -27,7 +27,6 @@ from coincalc.verdict import (
     Verdict,
     no,
     user_fact,
-    yes,
 )
 from coincalc.wecken import (
     CoincidenceProducingReport,
@@ -55,8 +54,6 @@ CASES = {
                         None),
     SphereClassDescriptor: ([3, 3, (1, 2)], [5, 3, None, YES, NO, UNK, YES],
                             ([4, 3, (1, 2)], DescriptorError)),
-    _Resolved: ([YES, YES, NO, NO, 1], [yes("Thm1.7e"), UNK, UNK, UNK, None],
-                None),
     ProjectivePairDescriptor: (
         [ProjectiveField.R, 3, 5],
         [ProjectiveField.H, 2, 9, YES, NO, UNK, UNK, UNK, YES],

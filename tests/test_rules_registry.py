@@ -60,10 +60,10 @@ def test_registry_descriptions_nonempty():
 
 
 # ids of facts and verdicts that each module builds once, at import; some
-# sit on branches that only library helpers reach (kleene-and, HHR-open,
-# Prop1.14, Thm1.33d) or that no generated query reaches (R8)
+# sit on branches that only library functions reach (HHR-open in
+# kervaire_case, Prop1.14 in del_vanishes_by_dimension, Thm1.33d in
+# nsharp_restrictions) or that no generated query reaches (R8)
 HOISTED = [
-    ("coincalc.verdict", "kleene-and"),
     ("coincalc.tables", "SO-order-open"),
     ("coincalc.torus", "needs:det_kills_top"),
     ("coincalc.sphere", "Ex3.9-derived"),

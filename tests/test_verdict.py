@@ -13,25 +13,11 @@ from coincalc import (
     Truth,
     UNKNOWN,
     Verdict,
-    combine_and,
     user_fact,
     validate_bundle,
 )
 from coincalc.cli import QueryError, _fact
 from coincalc.verdict import ALL_FIELDS, CHAIN_FIELDS, ext_le, truth_and
-
-
-def test_combine_and_examples():
-    y, n, u = user_fact("yes"), user_fact("no"), user_fact("unknown")
-    assert combine_and([y, y]).truth is Truth.YES
-    assert combine_and([y, u]).truth is Truth.UNKNOWN
-    assert combine_and([n, u]).truth is Truth.NO
-    assert combine_and([y]).rule == "kleene-and"
-
-
-def test_combine_and_rejects_empty():
-    with pytest.raises(DescriptorError):
-        combine_and([])
 
 
 def test_kleene_conjunction_algebra():
@@ -171,7 +157,7 @@ def test_interned_facts_stay_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         fact.truth = Truth.NO
     with pytest.raises(dataclasses.FrozenInstanceError):
-        fact.rule = "kleene-and"
+        fact.rule = "Thm1.10"
     assert user_fact("yes").truth is Truth.YES
 
 
