@@ -11,6 +11,7 @@ from coincalc import (
     TorusPairDescriptor,
     circle_target_mcc,
     cokernel,
+    cokernel_order,
     smith_normal_form,
     torus_invariants,
     user_fact,
@@ -34,11 +35,13 @@ h1 = IntMatrix.diagonal([2, 3])
 snf = smith_normal_form(h1)
 print(f"Smith divisors of the difference matrix: {snf.divisors}; "
       f"cokernel {cokernel(h1)}.")
-print("The lattice index 6 is every Nielsen number at once:")
+print(f"The lattice index {cokernel_order(h1)} is every Nielsen number "
+      "at once:")
 show("T^2 -> T^2, diag(2, 3)", torus_invariants(
     TorusPairDescriptor(2, 2, h1, True)))
 
-# invariant_factors, which answers use, against the transforms' diagonal
+# the cokernel's invariant factors, computed without transforms, against
+# the transforms' diagonal
 torsion = tuple(d for d in snf.divisors if d >= 2)
 assert cokernel(h1).torsion == torsion
 print("\nThe cokernel's torsion", torsion, "is the Smith divisors past 1.")

@@ -25,7 +25,8 @@ _SUBMODULE = {
         ("errors", ("CoincalcError", "ConsistencyError", "DescriptorError",
                     "FactBaseError")),
         ("lattice", ("IntMatrix", "FGAbelianGroup", "SmithNormalForm",
-                     "smith_normal_form", "cokernel", "invariant_factors")),
+                     "smith_normal_form", "cokernel", "cokernel_order",
+                     "invariant_factors")),
         ("verdict", ("Fact", "Truth", "Verdict", "InvariantBundle",
                      "user_fact", "validate_bundle", "INFINITE", "UNKNOWN")),
         ("tables", ("FactBase", "KervaireStatus", "get_factbase",

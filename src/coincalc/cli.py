@@ -59,11 +59,13 @@ torus = _Lazy("torus")
 wecken = _Lazy("wecken")
 
 
-# bounds on a torus h1, which keep its invariant factors to about a second
-# on a 2-core host.  The slowest matrices within them are 64x64 ones whose
-# rows share a factor, so that the reduction modulo a gcd of (n-1)-minors
-# works with numbers of hundreds of digits: such a matrix of 32,000 digits
-# takes about 1 s, a random one 0.2 s.
+# bounds on a torus h1, which keep its cokernel order to about a second on
+# a 2-core host.  A square matrix takes one elimination: 64x64 ones of
+# 32,000 digits take about 0.2 s, whether random or with shared factors.
+# The slowest are wide 63x64 ones whose rows each carry their own 7-digit
+# factor, so that the Smith reduction runs on the whole matrix modulo a
+# gcd of maximal minors of about 420 digits: 1.1-1.3 s.  A random one
+# takes 0.2 s, and one whose entries all share a factor 0.05 s.
 MAX_MATRIX_DIM = 64
 MAX_MATRIX_DIGITS = 32_000  # decimal digits of all entries together
 
@@ -111,20 +113,24 @@ def _matrix(payload: dict, field: str, where: str) -> lattice.IntMatrix:
     except DescriptorError as exc:
         raise QueryError(f"{where}: field {field!r}: {exc}") from None
     entries = matrix.entries
-    # the widest entry settles most matrices without a count per entry
-    widest = _digits(max(max(entries), -min(entries)))
-    if (len(entries) * widest > MAX_MATRIX_DIGITS
+    # no entry has more digits than d + 1, d read from the widest entry's
+    # bit length: that settles most matrices without a count per entry
+    widest = int(max(max(entries), -min(entries)).bit_length() * _LOG10_2)
+    if (len(entries) * (widest + 1) > MAX_MATRIX_DIGITS
             and sum(map(_digits, entries)) > MAX_MATRIX_DIGITS):
         raise QueryError(f"{where}: field {field!r} is limited to "
                          f"{MAX_MATRIX_DIGITS} decimal digits in all")
     return matrix
 
 
+_LOG10_2 = 0.30102999566398120
+
+
 def _digits(x: int) -> int:
     """Decimal digits of |x| (1 for 0), read from the bit length, since
     CPython refuses int-to-str past 4,300 digits."""
     x = abs(x)
-    d = int(x.bit_length() * 0.30102999566398120)  # log10(2): d or d + 1
+    d = int(x.bit_length() * _LOG10_2)  # the digits are d or d + 1
     return max(1, d + (x >= 10 ** d))
 
 

@@ -1,16 +1,24 @@
-"""Exact integer linear algebra: invariant factors and cokernels, which
-answer every torus query, and the Smith normal form.
+"""Exact integer linear algebra: the cokernel order, which answers every
+torus query, invariant factors, cokernels and the Smith normal form.
 
 Everything runs on Python's arbitrary-precision integers; no intermediate
-value is allowed to overflow because none can.  ``invariant_factors``
-builds no transforms: one fraction-free (Bareiss) elimination, on odd
-pivots where it can, yields |det| and a multiple g of a determinantal
-divisor, which certifies the factors or bounds a Smith reduction modulo g
-(``_smith_mod``), whose entries never outgrow it.  By Sylvester's identity
-each block of that elimination is its pivot minor times a Schur
-complement, so the reduction runs on the latest block of the last few
-whose pivot minor is prime to g, and on the whole matrix only when none
-is.  ``cokernel`` reads only those factors.
+value is allowed to overflow because none can.  One fraction-free (Bareiss)
+elimination, ``_eliminate``, on odd pivots where it can, serves both
+routes.  ``cokernel_order`` reads the order from it: INFINITE below full
+row rank, and for a square matrix |det|, its last pivot.  Only a wide
+matrix needs more, the gcd of its maximal minors, which is the product of
+its invariant factors.
+
+``invariant_factors`` builds no transforms.  It divides out the content
+(the gcd of all entries) first; the elimination then yields |det| and a
+multiple g of a determinantal divisor, which certifies the factors or
+bounds a Smith reduction modulo g (``_smith_mod``), whose entries never
+outgrow it.  By Sylvester's identity each block of that elimination is its
+pivot minor times a Schur complement, so the reduction runs on the latest
+block of the last few whose pivot minor is prime to g, and on the whole
+matrix only when none is.  ``cokernel`` reads only those factors and is
+library API; ``invariant_factors`` is too, and serves the wide matrices of
+``cokernel_order``.
 
 ``smith_normal_form`` runs the gcd-pivot elimination ``_reduce`` with the
 U and V transforms, so the factorization D = U * A * V is returned and can
@@ -317,27 +325,19 @@ def _smith_mod(rows: list[list[int]], g: int) -> tuple[int, ...]:
     return tuple(diag)
 
 
-def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
-    """The nonzero invariant factors d_1 | d_2 | ... of ``a``: the same as
-    ``smith_normal_form(a).divisors``.
+def _eliminate(rows: list[list[int]]) -> tuple[deque, int, int, list[int]]:
+    """One fraction-free (Bareiss) elimination of ``rows``, which it leaves
+    as they are: (steps, prev, rank, lead).
 
-    One fraction-free (Bareiss) elimination gives the rank and, after each
-    step k, a block of (k+1)-minors that is p_k, the k-minor of the pivots,
-    times the Schur complement (Sylvester's identity).  Each pivot is an odd
-    entry where the block has one, else its first nonzero entry, so p_k
-    stays odd wherever A mod 2 allows.  Let e be n-1 for a square matrix of
-    full rank and the rank otherwise.  The gcd g of the e-minors in the
-    block after step e-1 is a multiple of d_1 ... d_e: if g = 1 they are
-    all 1, else each is its gcd with g.  Over the primes of g the matrix is
-    I_k plus the block after step k when gcd(p_k, g) = 1, so ``_smith_mod``
-    computes those gcds modulo g on the latest such block of the last
-    ``_WINDOW`` steps, or on the whole matrix (k = 0, p_0 = 1).  A square
-    matrix of full rank has |det| / (d_1 ... d_(n-1)) as its last factor."""
-    rows = a.to_rows()
-    if a.rows > a.cols:  # A and its transpose share invariant factors
-        rows = [list(col) for col in zip(*rows)]
-    block, prev, rank = rows, 1, 0
-    steps = deque([(1, rows)], _WINDOW + 1)  # (p_k, block after step k)
+    After step k the block is the (k+1)-minors of the first k pivots and one
+    more row and column; ``steps`` keeps (p_k, block after step k) for the
+    last ``_WINDOW`` + 1 steps, with (1, rows) as step 0.  Each pivot is an
+    odd entry where the block has one, else its first nonzero entry.
+    ``prev`` is the last pivot, the rank-minor of the pivots (+-|det| for a
+    square matrix of full rank), and ``lead`` the first pivot row (None at
+    rank 0)."""
+    block, prev, rank, lead = rows, 1, 0, None
+    steps = deque([(1, rows)], _WINDOW + 1)
     while block:
         pivot = next(((i, j) for i, row in enumerate(block)
                       for j, x in enumerate(row) if x & 1), None) or next(
@@ -365,8 +365,35 @@ def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
         block, prev = nxt, p
         rank += 1
         steps.append((p, nxt))
-    if not rank:
+    return steps, prev, rank, lead
+
+
+def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
+    """The nonzero invariant factors d_1 | d_2 | ... of ``a``: the same as
+    ``smith_normal_form(a).divisors``.
+
+    The content c, the gcd of all entries, is divided out first: the
+    factors of A are c times those of A / c.  Then one Bareiss elimination
+    (``_eliminate``) gives the rank and, after each step k, a block of
+    (k+1)-minors that is p_k, the k-minor of the pivots, times the Schur
+    complement (Sylvester's identity); odd pivots keep p_k odd wherever
+    A mod 2 allows.  Let e be n-1 for a square matrix of full rank and the
+    rank otherwise.  The gcd g of the e-minors in the block after step e-1
+    is a multiple of d_1 ... d_e: if g = 1 they are all 1, else each is its
+    gcd with g.  Over the primes of g the matrix is I_k plus the block after
+    step k when gcd(p_k, g) = 1, so ``_smith_mod`` computes those gcds
+    modulo g on the latest such block of the last ``_WINDOW`` steps, or on
+    the whole matrix (k = 0, p_0 = 1).  A square matrix of full rank has
+    |det| / (d_1 ... d_(n-1)) as its last factor."""
+    rows = a.to_rows()
+    if a.rows > a.cols:  # A and its transpose share invariant factors
+        rows = [list(col) for col in zip(*rows)]
+    c = _block_gcd(rows)
+    if not c:
         return ()
+    if c > 1:
+        rows = [[x // c for x in row] for row in rows]
+    steps, prev, rank, lead = _eliminate(rows)
     square = rank == len(rows) == len(rows[0])
     e = rank - square
     first = rank + 1 - len(steps)  # the step k of steps[0]
@@ -382,7 +409,24 @@ def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
                       if gcd(steps[k - first][0], g) == 1), 0)
         head = ((1,) * k + _smith_mod(
             steps[k - first][1] if k else rows, g))[:e]
-    return head + (abs(prev) // prod(head),) if square else head
+    factors = head + (abs(prev) // prod(head),) if square else head
+    return tuple(c * d for d in factors) if c > 1 else factors
+
+
+def cokernel_order(a: IntMatrix) -> ExtNat:
+    """The order of ``cokernel(a)``: INFINITE below full row rank, else the
+    gcd of the maximal minors of ``a``.
+
+    A tall matrix has rank at most cols < rows.  A square one takes one
+    Bareiss elimination, whose last pivot is +-det.  A wide one multiplies
+    its invariant factors: no single minor gives the gcd of all of them."""
+    if a.rows > a.cols:
+        return INFINITE
+    if a.rows < a.cols:
+        factors = invariant_factors(a)
+        return prod(factors) if len(factors) == a.rows else INFINITE
+    _, prev, rank, _ = _eliminate(a.to_rows())
+    return abs(prev) if rank == a.rows else INFINITE
 
 
 def cokernel(a: IntMatrix) -> FGAbelianGroup:

@@ -1,16 +1,20 @@
 """Invariants for pairs of maps into tori.
 
-Torus-to-torus pairs get complete answers from the image determinant of the
-H1 difference; for a general closed source only the Reidemeister number, the
-bound chain and (conditionally) N^Z are determined, and the rest is emitted
-as Unknown rather than as fake intervals.  The only input consumed is the
-difference homomorphism f1* - f2* on H1, stored as an integer matrix.
+The only input consumed is the difference homomorphism f1* - f2* on H1,
+stored as an integer matrix, and the only number read from it is the
+order of its cokernel, ``lattice.cokernel_order``.  That order is the
+Reidemeister number (Reid3.5) and, when finite, the |det| of the image (0
+otherwise).  Torus-to-torus pairs get complete answers from that |det|
+(Thm1.8); for a general closed source only
+the Reidemeister number, the bound chain and (conditionally) N^Z are
+determined, and the rest is emitted as Unknown rather than as fake
+intervals.
 """
 
 from __future__ import annotations
 
 from .errors import DescriptorError
-from .lattice import IntMatrix, cokernel
+from .lattice import IntMatrix, cokernel_order
 from .verdict import (
     INFINITE,
     Fact,
@@ -68,7 +72,7 @@ _NEEDS_TOP_PULLBACK = Verdict.unknown(
 
 
 def torus_invariants(d: TorusPairDescriptor) -> InvariantBundle:
-    card = cokernel(d.h1_matrix).cardinality()
+    card = cokernel_order(d.h1_matrix)
     # |det| of the image is the cokernel order when finite, else 0
     det = 0 if card is INFINITE else card
 

@@ -422,6 +422,23 @@ def test_h1_digit_cap_counts_every_entry(last, admitted):
             run_query(query)
 
 
+def test_h1_digit_cap_counts_digits_only_near_the_cap(monkeypatch):
+    from coincalc import cli
+    counted = []
+    monkeypatch.setattr(cli, "_digits",
+                        lambda x: counted.append(x) or len(str(abs(x))))
+    # 4 x (2,800 + 1) digits cannot pass 32,000: no entry is counted
+    x = 10 ** 2799 + 1
+    query = {"id": "w", "family": "torus", "payload": {
+        "m": 2, "n": 2, "h1": [[x, 1], [0, x]], "source_is_torus": True}}
+    assert run_query(query)["invariants"]["mcc"]["value"] == x * x
+    assert counted == []
+    # 12 entries of up to 2,667 + 1 digits could: every entry is counted
+    query["payload"].update(m=6, h1=[[10 ** 2666] * 6, [1] * 6])
+    assert run_query(query)["invariants"]["mcc"]["value"] == 0
+    assert len(counted) == 12
+
+
 def test_h1_of_64_rows_and_columns_answers():
     identity = [[int(i == j) for j in range(64)] for i in range(64)]
     answer = run_query({"id": "id64", "family": "torus", "payload": {

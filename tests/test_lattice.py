@@ -12,6 +12,7 @@ from coincalc import (
     INFINITE,
     IntMatrix,
     cokernel,
+    cokernel_order,
     invariant_factors,
     smith_normal_form,
 )
@@ -273,12 +274,38 @@ def test_smith_mod_runs_on_a_window_block(monkeypatch, n):
                                lambda x, y: x * y)),
 ], ids=lambda chain: f"{len(chain)}x{len(chain)}")
 def test_smith_mod_runs_on_a_whole_diagonal_chain(monkeypatch, chain):
-    # the first pivot row, one entry d_1 > 1, divides g and every pivot
-    # minor, so no block of the elimination qualifies
+    # the content d_1 is divided out first; in the chain's own order the
+    # quotient's first pivot is then the unit at (0, 0), p_1 = 1 is prime to
+    # g, and no call takes the whole matrix
     calls = _smith_mod_calls(monkeypatch)
-    for diag in (chain, chain[::-1]):
-        assert invariant_factors(IntMatrix.diagonal(diag)) == chain
-    assert [rows for rows, _ in calls] == [len(chain)] * 2
+    assert invariant_factors(IntMatrix.diagonal(chain)) == chain
+    assert all(rows < len(chain) for rows, _ in calls)
+    assert invariant_factors(IntMatrix.diagonal(chain[::-1])) == chain
+
+
+def test_smith_mod_runs_on_the_whole_matrix_of_content_one(monkeypatch):
+    # content 1, but the first odd pivot is 3, whose row has gcd 3: that
+    # divides g = 6 and every pivot minor, so only k = 0 qualifies
+    calls = _smith_mod_calls(monkeypatch)
+    assert invariant_factors(IntMatrix.diagonal((2, 3, 6))) == (1, 6, 6)
+    assert calls == [(3, 6)]
+
+
+@pytest.mark.parametrize("f", [2, 9, 10 ** 6 + 3, 7 ** 100])
+def test_content_is_divided_out_first(monkeypatch, f):
+    # every entry shares f: the factors are f times those of the quotient,
+    # and the modulus handed to _smith_mod is that of the quotient
+    rng = random.Random(f % 1000)
+    a = mul(_random_unimodular(rng, 6, shears=24),
+            IntMatrix.diagonal((1, 1, 2, 2, 6, 12)),
+            _random_unimodular(rng, 6, shears=24))
+    calls = _smith_mod_calls(monkeypatch)
+    want = invariant_factors(a)
+    quotient_calls = list(calls)
+    assert quotient_calls
+    scaled = IntMatrix(6, 6, tuple(f * x for x in a.entries))
+    assert invariant_factors(scaled) == tuple(f * d for d in want)
+    assert calls[len(quotient_calls):] == quotient_calls
 
 
 def _padded_diagonal(a):
@@ -358,6 +385,58 @@ def test_abs_det_examples():
     # rank-deficient wide matrix
     assert cokernel(IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]])) \
         .cardinality() is INFINITE
+
+
+@st.composite
+def order_matrices(draw, max_side=6):
+    """Square, wide and tall matrices of 1- to 300-digit entries, some rows
+    zeroed and every entry times a shared factor."""
+    r, c = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    bound = 10 ** draw(st.sampled_from((1, 2, 300)))
+    rows = draw(st.lists(st.lists(st.integers(-bound, bound),
+                                  min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    for i in draw(st.sets(st.integers(0, r - 1), max_size=2)):
+        rows[i] = [0] * c
+    f = draw(st.sampled_from((1, 1, 2, 6, 10 ** 7 + 19, 3 ** 400)))
+    return IntMatrix.from_rows([[f * x for x in row] for row in rows])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    order_matrices(),
+    matrices(max_side=5).map(_with_dependent_row),
+    chain_products(),
+    udv_products(),
+))
+def test_cokernel_order_is_the_cokernel_cardinality(a):
+    assert cokernel_order(a) == cokernel(a).cardinality()
+
+
+def test_cokernel_order_of_square_and_tall_never_reaches_smith_mod(
+        monkeypatch):
+    rng = random.Random(64)
+    udv = mul(_random_unimodular(rng, 6, shears=24),
+              IntMatrix.diagonal((1, 1, 2, 2, 6, 12)),
+              _random_unimodular(rng, 6, shears=24))
+    square = [IntMatrix.diagonal((2, 6, 12, 24)),
+              IntMatrix.diagonal((2, 3, 6)),
+              udv,
+              IntMatrix(6, 6, tuple((10 ** 7 + 19) * x for x in udv.entries)),
+              _with_dependent_row(IntMatrix.from_rows([[2, 0, 0],
+                                                       [0, 6, 0]]))]
+    tall = [IntMatrix.from_rows(rows + [[x + y for x, y in zip(*rows[:2])]])
+            for rows in (a.to_rows() for a in square[:4])]
+    calls = _smith_mod_calls(monkeypatch)
+    assert [cokernel_order(a) for a in square] == [3456, 36, 288,
+                                                  288 * (10 ** 7 + 19) ** 6,
+                                                  INFINITE]
+    assert [cokernel_order(a) for a in tall] == [INFINITE] * 4
+    assert calls == []
+    # the same matrices do reach it through invariant_factors
+    for a in square[:4] + tall:
+        assert cokernel(a).cardinality() == cokernel_order(a)
+    assert len(calls) >= 4
 
 
 def _random_unimodular(rng, n, shears=6):

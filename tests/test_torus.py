@@ -77,6 +77,22 @@ def test_general_source_top_pullback_nonzero():
     assert b.reidemeister.value == 4
 
 
+@pytest.mark.parametrize("top", ["yes", "no", "unknown"])
+def test_general_source_tall_h1_has_infinite_reidemeister(top):
+    # n = 3 rows and 2 columns: the image has rank at most 2 < n, whatever
+    # the entries, so the cokernel is infinite and |det| is 0
+    d = TorusPairDescriptor(
+        5, 3, IntMatrix.from_rows([[2, 0], [0, 3], [10 ** 400, 7]]), False,
+        top_cohomology_pullback_nonzero=user_fact(top),
+        det_kills_top=user_fact("yes"))
+    b = torus_invariants(d)
+    assert b.reidemeister.value is INFINITE
+    assert b.reidemeister.trace == ("Reid3.5", "Thm3.7")
+    if top != "unknown":
+        assert b.n_z.value == 0
+    assert validate_bundle(b, 3) == []
+
+
 def test_general_source_surface_target_keeps_bound():
     # n = 2: even a nonzero top pullback only determines N^Z
     d = TorusPairDescriptor(
