@@ -11,7 +11,6 @@ Payload schemas are documented in docs/schemas.md.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from importlib import import_module
@@ -21,9 +20,7 @@ from .tables import FactBase, get_factbase, lint_text, read_text, set_factbase
 from .verdict import (
     ALL_FIELDS,
     INFINITE,
-    UNKNOWN,
     Fact,
-    Verdict,
     user_fact,
     validate_bundle,
 )
@@ -60,12 +57,12 @@ wecken = _Lazy("wecken")
 
 
 # bounds on a torus h1, which keep its cokernel order to about a second on
-# a 2-core host.  A square matrix takes one elimination: 64x64 ones of
-# 32,000 digits take about 0.2 s, whether random or with shared factors.
-# The slowest are wide 63x64 ones whose rows each carry their own 7-digit
-# factor, so that the Smith reduction runs on the whole matrix modulo a
-# gcd of maximal minors of about 420 digits: 1.1-1.3 s.  A random one
-# takes 0.2 s, and one whose entries all share a factor 0.05 s.
+# a 2-core host.  At the 32,000-digit cap a square 64x64 matrix takes one
+# elimination, 0.15-0.25 s.  A wide 63x64 one takes 0.15-0.2 s when random
+# and 0.03-0.05 s when each row carries its own 7-digit factor, which is
+# divided out.  The slowest are wide ones whose factors are hidden, L*D*B
+# with L unit lower-bidiagonal, D a diagonal of 7-digit factors and B of
+# entries in -2..2, whose cokernel order has about 420 digits: 0.7 s.
 MAX_MATRIX_DIM = 64
 MAX_MATRIX_DIGITS = 32_000  # decimal digits of all entries together
 
@@ -264,19 +261,7 @@ def _run_fixedpoint_fact(payload: dict) -> tuple[str, Fact]:
 # -- answers ----------------------------------------------------------------
 
 
-def _verdict_json(v: Verdict) -> dict:
-    if v.value is INFINITE:
-        value = "infinite"
-    elif v.value is UNKNOWN:
-        value = "unknown"
-    else:
-        value = v.value
-    return {"value": value, "trace": list(v.trace)}
-
-
-def _fact_json(fact: Fact) -> dict:
-    return {"value": fact.truth.value,
-            "trace": [fact.rule] if fact.rule else []}
+_FIELD_NAMES = tuple(key for key, _ in ALL_FIELDS)  # InvariantBundle's slots
 
 
 def run_query(query: dict) -> dict:
@@ -292,49 +277,30 @@ def run_query(query: dict) -> dict:
     if not isinstance(payload, dict):
         raise QueryError("payload must be a JSON object")
     qid = query.get("id", "")
+    version = get_factbase().version
 
-    answer = {
-        "id": qid,
-        "factbase_version": get_factbase().version,
-        "invariants": {},
-        "warnings": [],
-    }
-    if family == "wecken":
-        name, fact = _run_wecken_fact(payload)
-        answer["invariants"][name] = _fact_json(fact)
-        return answer
-    if family == "fixedpoint":
-        name, fact = _run_fixedpoint_fact(payload)
-        answer["invariants"][name] = _fact_json(fact)
-        return answer
-
-    runner = {
-        "torus": _run_torus,
-        "sphere": _run_sphere,
-        "spaceform": _run_spaceform,
-        "projective": _run_projective,
-        "stiefel": _run_stiefel,
-    }[family]
-    bundle, target_dim, warnings = runner(payload)
-    violations = validate_bundle(bundle, target_dim)
-    if violations:
-        raise ConsistencyError(
-            f"emitted bundle violates the invariant chain: {violations}")
-    for key, _ in ALL_FIELDS:
-        answer["invariants"][key] = _verdict_json(getattr(bundle, key))
-    answer["warnings"] = warnings
-    return answer
-
-
-def _error_answer(query, message: str) -> dict:
-    qid = query.get("id", "") if isinstance(query, dict) else ""
-    return {
-        "id": qid,
-        "factbase_version": get_factbase().version,
-        "invariants": {},
-        "warnings": [],
-        "error": message,
-    }
+    # each runner is read from this module's namespace when it is called,
+    # so that a wrapper set there (perfbench's tracer) is called too
+    if family == "wecken" or family == "fixedpoint":
+        name, fact = globals()[f"_run_{family}_fact"](payload)
+        invariants = {name: {"value": fact.truth.value,
+                             "trace": [fact.rule] if fact.rule else []}}
+        warnings = []
+    else:
+        bundle, target_dim, warnings = globals()[f"_run_{family}"](payload)
+        violations = validate_bundle(bundle, target_dim)
+        if violations:
+            raise ConsistencyError(
+                f"emitted bundle violates the invariant chain: {violations}")
+        invariants = {}
+        for name, v in zip(_FIELD_NAMES, bundle._values):
+            value = v.value
+            invariants[name] = {
+                "value": value if type(value) is int
+                else "infinite" if value is INFINITE else "unknown",
+                "trace": list(v.trace)}
+    return {"id": qid, "factbase_version": version,
+            "invariants": invariants, "warnings": warnings}
 
 
 def run_batch(queries: list) -> list[dict]:
@@ -345,175 +311,195 @@ def run_batch(queries: list) -> list[dict]:
         try:
             answers.append(run_query(query))
         except (QueryError, DescriptorError) as exc:
-            answers.append(_error_answer(query, str(exc)))
+            answers.append({
+                "id": query.get("id", "") if isinstance(query, dict) else "",
+                "factbase_version": get_factbase().version,
+                "invariants": {},
+                "warnings": [],
+                "error": str(exc),
+            })
     return answers
 
 
 _escape = json.encoder.encode_basestring_ascii
 _STR_ONLY = frozenset({str})
-# answers nest five levels deep, and a batch adds one; a line prefix up to
-# this depth has its layout and verdict fragments kept for the process
-_KEPT_DEPTH = 8
-_VERDICT_KEYS = frozenset({"trace", "value"})
-_FRAGMENT_CAP = 1024  # entries in _FRAGMENTS
-_FRAGMENT_CHARS = 512  # the longest fragment kept
-_SMALL_INT = 100  # verdict values below this are kept in their fragment
+_FIELD_SET = frozenset(_FIELD_NAMES)
+_VERDICT_CAP = 1024  # entries in _VERDICTS
+_VERDICT_CHARS = 512  # the longest verdict text kept
+_SMALL_INT = 100  # int values below this have their verdict text kept
+# the text of a verdict {"trace": [str, ...], "value": v} keyed on (line
+# prefix, v, trace), for a str or small-int v.  Traces are built from rule
+# ids, so answers share a few hundred keys; once full, the cache takes no
+# more entries (dumps in several threads may each add one more).
+_VERDICTS: dict[tuple, str] = {}
 
 
-class _Layouts(dict):
-    """For each line prefix nl: the strings that lay out a list or dict
-    whose lines continue with nl.  They are the prefix of its items, "["
-    and "{" with the first item's line break, "," with each further one's,
-    and "]" and "}" on a line of their own.  The prefixes up to _KEPT_DEPTH
-    are built at import; a deeper one is built on each use and not kept,
-    so a deeply nested id pins no long strings."""
+class _Template:
+    """The fixed text of an answer whose lines continue with nl."""
 
-    def __missing__(self, nl: str) -> tuple[str, ...]:
+    def __init__(self, nl: str):
         inner = nl + "  "
-        return (inner, "[" + inner, "{" + inner, "," + inner,
-                nl + "]", nl + "}")
+        self.head = "{" + inner + '"factbase_version": '
+        self.id = "," + inner + '"id": '
+        self.invariants = "," + inner + '"invariants": '
+        self.inner = inner
+        self.item = inner + "  "  # the line prefix of each verdict
+        self.close = inner + "}"
+        self.warnings = "," + inner + '"warnings": '
+        self.end = nl + "}"
+        # run_query's seven invariants in sorted order, each with the text
+        # that opens its line
+        self.fields = tuple(
+            (name, ("," if i else "{") + self.item + _escape(name) + ": ")
+            for i, name in enumerate(sorted(_FIELD_NAMES)))
 
 
-_LAYOUTS = _Layouts()
-_LAYOUTS.update({nl: _LAYOUTS[nl] for nl in (
-    "\n" + "  " * depth for depth in range(_KEPT_DEPTH))})
-# for each kept prefix and each key order of run_query's dicts, the sorted
-# keys, each with the text that opens its line
-_SHAPES = (("id", "factbase_version", "invariants", "warnings"),
-           tuple(key for key, _ in ALL_FIELDS))
-_HEADS = {
-    (nl, keys): tuple((key, ("," if i else "{") + nl + "  " + _escape(key)
-                       + ": ") for i, key in enumerate(sorted(keys)))
-    for nl in _LAYOUTS for keys in _SHAPES}
-# text of verdicts {"trace": [...], "value": v} at a kept prefix, keyed on
-# (prefix, trace) for the text up to the value and (prefix, trace, value)
-# for the whole when the value is a string or a small int.  Traces are built
-# from rule ids, so answers share a few hundred keys; once full, the cache
-# takes no more entries (dumps in several threads may each add one more).
-_FRAGMENTS: dict[tuple, str] = {}
+_SINGLE, _ITEM = _Template("\n"), _Template("\n  ")
 
 
-def _write(v, nl: str, emit, ints: dict) -> None:
-    """Pass the JSON text of v, whose lines continue with nl, to emit."""
-    kind = type(v)
-    if kind is str:
-        emit(_escape(v))
-    elif kind is int:
-        text = ints.get(v)
-        if text is None:
-            text = ints[v] = int.__repr__(v)
-        emit(text)
-    elif kind is list:
-        if not v:
-            emit("[]")
-            return
-        inner, sep, _, comma, close, _ = _LAYOUTS[nl]
-        for item in v:
-            emit(sep)
-            _write(item, inner, emit, ints)
-            sep = comma
-        emit(close)
-    elif kind is dict and _STR_ONLY.issuperset(map(type, v)):
-        if _write_verdict(v, nl, emit, ints):
-            return
-        if not v:
-            emit("{}")
-            return
-        inner, _, sep, comma, _, close = _LAYOUTS[nl]
-        heads = _HEADS.get((nl, tuple(v)))
-        if heads is not None:
-            for key, head in heads:
-                emit(head)
-                item = v[key]
-                if not _write_verdict(item, inner, emit, ints):
-                    _write(item, inner, emit, ints)
-            emit(close)
-            return
-        for key in sorted(v):
-            emit(sep)
-            emit(_escape(key))
-            emit(": ")
-            _write(v[key], inner, emit, ints)
-            sep = comma
-        emit(close)
-    else:
-        emit(json.dumps(v, indent=2, sort_keys=True).replace("\n", nl))
+def _scalar(v) -> str:
+    """The JSON text of v, which is no list, tuple or dict."""
+    if isinstance(v, str):
+        return _escape(v)
+    if not isinstance(v, int) or isinstance(v, bool):
+        return json.dumps(v)  # None, a bool, a float, or not JSON (TypeError)
+    try:
+        return int.__repr__(v)
+    except ValueError:
+        # exact answers may run past CPython's int-to-str digit limit,
+        # which guards parsing untrusted input, not printing our own
+        # results: lift it for this conversion only
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return int.__repr__(v)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
-def _write_verdict(v, nl: str, emit, ints: dict) -> bool:
-    """If v is a verdict {"trace": [str, ...], "value": ...} and nl a kept
-    prefix, pass the JSON text of v, whose lines continue with nl, to emit
-    and return True; otherwise emit nothing and return False."""
-    if (type(v) is not dict or v.keys() != _VERDICT_KEYS
-            or nl not in _LAYOUTS):
-        return False
-    trace = v["trace"]
-    if type(trace) is not list or not _STR_ONLY.issuperset(map(type, trace)):
-        return False
-    trace = tuple(trace)
-    value = v["value"]
+def _verdict(v, nl: str, fresh: dict) -> str | None:
+    """The text of v, whose lines continue with nl, if v is a verdict
+    {"trace": [str, ...], "value": str or int}; None otherwise.  The exact
+    type checks come before the cache: 1, True and 1.0 are equal keys.
+    A verdict not kept there is kept in fresh, for this dump only."""
+    if type(v) is not dict or len(v) != 2:
+        return None
+    trace, value = v.get("trace"), v.get("value")
     kind = type(value)
-    whole = None
-    if kind is str or kind is int and 0 <= value < _SMALL_INT:
-        whole = (nl, trace, value)
-        text = _FRAGMENTS.get(whole)
-        if text is not None:
-            emit(text)
-            return True
-    inner, _, sep, comma, _, close = _LAYOUTS[nl]
-    head = _FRAGMENTS.get((nl, trace))
-    if head is None:
-        parts = [sep, '"trace": ']
-        _write(list(trace), inner, parts.append, ints)
-        parts += comma, '"value": '
-        head = _keep((nl, trace), "".join(parts))
-    if whole is None:
-        emit(head)
-        _write(value, inner, emit, ints)
-        emit(close)
-    else:
-        emit(_keep(whole, head + (_escape(value) if kind is str
-                                  else int.__repr__(value)) + close))
+    if (kind is not int and kind is not str or type(trace) is not list
+            or not _STR_ONLY.issuperset(map(type, trace))):
+        return None
+    key = (nl, value, tuple(trace))
+    text = _VERDICTS.get(key) or fresh.get(key)
+    if text is None:
+        inner = nl + "  "
+        line = inner + "  "
+        text = ("{" + inner + '"trace": '
+                + ("[" + line + ("," + line).join(map(_escape, trace))
+                   + inner + "]" if trace else "[]")
+                + "," + inner + '"value": ' + _scalar(value) + nl + "}")
+        if ((kind is str or 0 <= value < _SMALL_INT)
+                and len(_VERDICTS) < _VERDICT_CAP
+                and len(text) <= _VERDICT_CHARS):
+            _VERDICTS[key] = text
+        else:
+            fresh[key] = text
+    return text
+
+
+def _answer(a, t: _Template, out: list, fresh: dict) -> bool:
+    """If a has the shape run_query returns, append its text, laid out by
+    t, to out and return True; otherwise leave out as it was and return
+    False."""
+    if type(a) is not dict or len(a) != 4:
+        return False
+    version, qid = a.get("factbase_version"), a.get("id")
+    invariants, warnings = a.get("invariants"), a.get("warnings")
+    if (type(version) is not str or type(qid) is not str
+            or type(invariants) is not dict or type(warnings) is not list):
+        return False
+    mark = len(out)
+    out += t.head, _escape(version), t.id, _escape(qid), t.invariants
+    fields = t.fields if invariants.keys() == _FIELD_SET else [
+        (name, ("," if i else "{") + t.item + _key(name) + ": ")
+        for i, name in enumerate(sorted(invariants))]
+    for name, head in fields:
+        text = _verdict(invariants[name], t.item, fresh)
+        if text is None:
+            del out[mark:]
+            return False
+        out += head, text
+    out += (t.close if invariants else "{}", t.warnings,
+            _write(warnings, t.inner) if warnings else "[]", t.end)
     return True
 
 
-def _keep(key: tuple, text: str) -> str:
-    """text, kept in _FRAGMENTS under key while the cache has room."""
-    if len(_FRAGMENTS) < _FRAGMENT_CAP and len(text) <= _FRAGMENT_CHARS:
-        _FRAGMENTS[key] = text
-    return text
+def _write(obj, nl: str) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` with nl for each line
+    break.  The walk keeps its own stack of texts, (value, line prefix)
+    pairs and the ids of the lists and dicts being written, so no nesting
+    depth recurses."""
+    out, todo, open_ids = [], [(obj, nl)], set()
+    while todo:
+        entry = todo.pop()
+        if type(entry) is str:
+            out.append(entry)
+            continue
+        if type(entry) is int:  # the id of a list or dict now written
+            open_ids.remove(entry)
+            continue
+        v, nl = entry
+        if not isinstance(v, (list, tuple, dict)):
+            out.append(_scalar(v))
+        elif not v:
+            out.append("{}" if isinstance(v, dict) else "[]")
+        elif id(v) in open_ids:
+            raise ValueError("Circular reference detected")
+        else:
+            open_ids.add(id(v))
+            inner = nl + "  "
+            is_dict = isinstance(v, dict)
+            pairs = ([(_key(key) + ": ", item) for key, item in sorted(
+                v.items())] if is_dict else [("", item) for item in v])
+            items, sep = [], ("{" if is_dict else "[") + inner
+            for head, item in pairs:
+                items += sep + head, (item, inner)
+                sep = "," + inner
+            todo += id(v), nl + ("}" if is_dict else "]")
+            todo += reversed(items)
+    return "".join(out)
+
+
+def _key(key) -> str:
+    """A dict key as json.dumps writes it."""
+    if isinstance(key, str):
+        return _escape(key)
+    if not isinstance(key, (int, float)) and key is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return '"' + _scalar(key) + '"'
 
 
 def _dump(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
-    With an indent, ``json.dumps`` runs CPython's generator-based encoder
-    in pure Python; ``_write`` walks the answer once instead and appends
-    text fragments to one list, joined at the end.  Strings, exact ints,
-    lists and dicts with string keys are written there; any other value
-    goes to ``json.dumps`` and is re-indented, which is safe since JSON
-    text holds no raw newline.  Each distinct int is converted to decimal
-    once per dump: a torus answer repeats its |det| up to seven times.
-
-    What answers repeat is written from text kept across dumps, in caches
-    of fixed size: the layout strings of each line prefix up to
-    ``_KEPT_DEPTH`` (``_LAYOUTS``), the sorted key heads of an answer and
-    of its invariants (``_HEADS``), and up to ``_FRAGMENT_CAP`` verdict
-    fragments of at most ``_FRAGMENT_CHARS`` characters (``_FRAGMENTS``),
-    keyed on prefix, trace and a string or small-int value.  Other ints,
-    deeper prefixes and verdicts that find the cache full are written
-    fresh.
+    An answer of the shape run_query returns, alone or as an item of a
+    list, is filled into the template of its indent: its id and fact-base
+    version are escaped, each verdict's text is read from ``_VERDICTS`` or
+    written once per dump (a torus answer repeats its |det| up to seven
+    times), and its warnings are written by ``_write``, which writes any
+    other value too, error answers and near misses included.
     """
     out: list[str] = []
-    # exact answers may run past CPython's int-to-str digit limit, which
-    # guards parsing untrusted input, not printing our own results; lift it
-    # for this dump only, so that input parsing stays bounded
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        _write(obj, "\n", out.append, {})
-    finally:
-        sys.set_int_max_str_digits(limit)
+    fresh: dict[tuple, str] = {}
+    if type(obj) is list and obj:
+        for item in obj:
+            out.append(",\n  " if out else "[\n  ")
+            if not _answer(item, _ITEM, out, fresh):
+                out.append(_write(item, "\n  "))
+        out.append("\n]")
+    elif not _answer(obj, _SINGLE, out, fresh):
+        out.append(_write(obj, "\n"))
     out.append("\n")
     return "".join(out)
 
@@ -522,6 +508,9 @@ def _dump(obj) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # imported here, so that library callers skip argparse, gettext and
+    # locale
+    import argparse
     parser = argparse.ArgumentParser(
         prog="coincalc",
         description="exact coincidence invariants with justification traces",
@@ -574,7 +563,6 @@ def _load_json(path: str):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out = sys.stdout
     try:
         try:
             set_factbase(FactBase.load())
@@ -585,27 +573,11 @@ def main(argv=None) -> int:
             print(f"cannot read fact base: {exc}", file=sys.stderr)
             return 2
 
-        if args.command == "query":
-            query = _load_json(args.file)
-            out.write(_dump(run_query(query)))
-            return 0
         if args.command == "batch":
             queries = _load_json(args.file)
             if not isinstance(queries, list):
                 raise QueryError("a batch file must hold a JSON array")
-            out.write(_dump(run_batch(queries)))
-            return 0
-        if args.command == "wecken":
-            query = {"id": "cli", "family": "wecken",
-                     "payload": {"m": args.m, "n": args.n,
-                                 "target_family": args.family}}
-            out.write(_dump(run_query(query)))
-            return 0
-        if args.command == "stiefel":
-            query = {"id": "cli", "family": "stiefel",
-                     "payload": {"r": args.r, "k": args.k,
-                                 "oriented_target": args.oriented}}
-            out.write(_dump(run_query(query)))
+            sys.stdout.write(_dump(run_batch(queries)))
             return 0
         if args.command == "factbase":
             try:
@@ -623,7 +595,18 @@ def main(argv=None) -> int:
                 return 2
             print(f"{args.file}: clean")
             return 0
-        raise AssertionError("unreachable")
+        if args.command == "query":
+            query = _load_json(args.file)
+        elif args.command == "wecken":
+            query = {"id": "cli", "family": "wecken",
+                     "payload": {"m": args.m, "n": args.n,
+                                 "target_family": args.family}}
+        else:
+            query = {"id": "cli", "family": "stiefel",
+                     "payload": {"r": args.r, "k": args.k,
+                                 "oriented_target": args.oriented}}
+        sys.stdout.write(_dump(run_query(query)))
+        return 0
     except (QueryError, DescriptorError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

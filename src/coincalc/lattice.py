@@ -6,8 +6,8 @@ value is allowed to overflow because none can.  One fraction-free (Bareiss)
 elimination, ``_eliminate``, on odd pivots where it can, serves both
 routes.  ``cokernel_order`` reads the order from it: INFINITE below full
 row rank, and for a square matrix |det|, its last pivot.  Only a wide
-matrix needs more, the gcd of its maximal minors, which is the product of
-its invariant factors.
+matrix needs more, the gcd of its maximal minors: the product of its row
+contents and of the invariant factors of the rows divided by them.
 
 ``invariant_factors`` builds no transforms.  It divides out the content
 (the gcd of all entries) first; the elimination then yields |det| and a
@@ -17,8 +17,8 @@ outgrow it.  By Sylvester's identity each block of that elimination is its
 pivot minor times a Schur complement, so the reduction runs on the latest
 block of the last few whose pivot minor is prime to g, and on the whole
 matrix only when none is.  ``cokernel`` reads only those factors and is
-library API; ``invariant_factors`` is too, and serves the wide matrices of
-``cokernel_order``.
+library API; ``invariant_factors`` is too, and its body ``_factors``
+serves the wide matrices of ``cokernel_order``.
 
 ``smith_normal_form`` runs the gcd-pivot elimination ``_reduce`` with the
 U and V transforms, so the factorization D = U * A * V is returned and can
@@ -388,6 +388,11 @@ def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     rows = a.to_rows()
     if a.rows > a.cols:  # A and its transpose share invariant factors
         rows = [list(col) for col in zip(*rows)]
+    return _factors(rows)
+
+
+def _factors(rows: list[list[int]]) -> tuple[int, ...]:
+    """``invariant_factors`` of ``rows``, no more of them than columns."""
     c = _block_gcd(rows)
     if not c:
         return ()
@@ -419,14 +424,24 @@ def cokernel_order(a: IntMatrix) -> ExtNat:
 
     A tall matrix has rank at most cols < rows.  A square one takes one
     Bareiss elimination, whose last pivot is +-det.  A wide one multiplies
-    its invariant factors: no single minor gives the gcd of all of them."""
+    invariant factors, since no single minor gives the gcd of all of them,
+    but first divides each row i by its content c_i: every maximal minor
+    holds each row once, so the order is prod c_i times the quotient's, and
+    a zero row leaves the rank below full."""
     if a.rows > a.cols:
         return INFINITE
-    if a.rows < a.cols:
-        factors = invariant_factors(a)
-        return prod(factors) if len(factors) == a.rows else INFINITE
-    _, prev, rank, _ = _eliminate(a.to_rows())
-    return abs(prev) if rank == a.rows else INFINITE
+    rows = a.to_rows()
+    if a.rows == a.cols:
+        _, prev, rank, _ = _eliminate(rows)
+        return abs(prev) if rank == a.rows else INFINITE
+    contents = [gcd(*row) for row in rows]
+    if not all(contents):
+        return INFINITE
+    factors = _factors([[x // c for x in row]
+                        for row, c in zip(rows, contents)])
+    if len(factors) < a.rows:
+        return INFINITE
+    return prod(contents) * prod(factors)
 
 
 def cokernel(a: IntMatrix) -> FGAbelianGroup:

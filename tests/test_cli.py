@@ -263,12 +263,17 @@ answers = st.fixed_dictionaries({
 
 
 def reference_dump(value) -> str:
+    # json.dumps recurses once per nesting level, so an id nested 985 deep
+    # needs room on top of pytest's own frames
     limit = sys.get_int_max_str_digits()
+    frames = sys.getrecursionlimit()
     sys.set_int_max_str_digits(0)
+    sys.setrecursionlimit(frames + 200)
     try:
         return json.dumps(value, indent=2, sort_keys=True) + "\n"
     finally:
         sys.set_int_max_str_digits(limit)
+        sys.setrecursionlimit(frames)
 
 
 @settings(max_examples=300, deadline=None)
@@ -300,30 +305,53 @@ def nested(depth, leaf):
     return leaf
 
 
+SEVEN = {key: verdict(i) for i, key in enumerate(FIELDS)}
+
 # values shaped almost like a verdict or an answer, in an order that first
-# fills the fragment cache with look-alikes of the later ones (1 before
+# fills the verdict cache with look-alikes of the later ones (1 before
 # True and 1.0, "unknown" before a trace of other types)
 NEAR_VERDICTS = [
     verdict(1), verdict(True), verdict(1.0), verdict(False), verdict(0),
-    verdict(None), verdict(-3), verdict(2.5), verdict(BIG), verdict(-BIG),
-    verdict(10 ** 4300), verdict(99), verdict(100), verdict("unknown"),
-    verdict("≥ Ñ\n"), verdict([1, "x"]), verdict({"b": 1, "a": BIG}),
+    verdict(None), verdict(-3), verdict(-1), verdict(2.5), verdict(BIG),
+    verdict(-BIG), verdict(10 ** 4300), verdict(10 ** 4999), verdict(99),
+    verdict(100), verdict("unknown"), verdict("≥ Ñ\n"), verdict([1, "x"]),
+    verdict({"b": 1, "a": BIG}),
     verdict(1, trace=()), verdict(1, trace=["Thm1.8", 3]),
     verdict(1, trace=["Thm1.8", None]), verdict(1, trace=[["Thm1.8"]]),
-    {"trace": ("Thm1.8",), "value": 1}, {"trace": "Thm1.8", "value": 1},
+    {"trace": ("Thm1.8",), "value": 1}, {"trace": ("Thm1.8", "Thm3.7"),
+                                         "value": "unknown"},
+    {"trace": (), "value": 0}, {"trace": "Thm1.8", "value": 1},
     {"trace": None, "value": "unknown"}, {"trace": ["Thm1.8"]},
     {"value": 1}, {"trace": ["Thm1.8"], "value": 1, "extra": 2},
-    {"value": 1, "trace": ["Thm1.8"]},
+    {"value": 1, "trace": ["Thm1.8"]}, {"trace": ["Thm1.8"], "x": 1},
 ]
 NEAR_ANSWERS = [
-    answer({key: verdict(i) for i, key in enumerate(FIELDS)}),
+    answer(SEVEN),
     answer({key: verdict(i) for i, key in enumerate(reversed(FIELDS))}),
     answer({key: verdict(i) for i, key in enumerate(FIELDS[:-1])}),
     answer({**{key: verdict(1) for key in FIELDS}, "extra": verdict(1)}),
     answer({key: i for i, key in enumerate(FIELDS)}),
     answer({key: [key] for key in FIELDS}),
+    answer({1: verdict(1)}),
+    answer([verdict(1)]),
     answer({}, error="payload must be a JSON object"),
+    answer(SEVEN, error="an error answer with invariants"),
+    answer(SEVEN, note="an extra key"),
+    {key: value for key, value in answer(SEVEN).items() if key != "warnings"},
+    {key: value for key, value in answer(SEVEN).items() if key != "id"},
+    {**answer(SEVEN), "factbase_version": 1},
+    {**answer(SEVEN), "factbase_version": None},
+    {**answer(SEVEN), "warnings": ["bound chain: |det| = 6", "≥ Ñ\n", '"']},
+    {**answer(SEVEN), "warnings": ["a warning", 3]},
+    {**answer(SEVEN), "warnings": ["a warning", None]},
+    {**answer(SEVEN), "warnings": ("a warning",)},
+    answer({"wecken_condition": verdict("yes", trace=["R4"])}),
+    answer({"wecken_fixed_point": verdict("unknown", trace=[])}),
     answer({"wecken_condition": verdict("yes")}, qid=None),
+    answer(SEVEN, qid=7),
+    answer(SEVEN, qid=True),
+    answer(SEVEN, qid=1.5),
+    answer(SEVEN, qid="≥ Ñ\n\"\\"),
     answer({key: verdict(BIG) for key in FIELDS}, qid=verdict(1)),
     {"warnings": [], "invariants": {}, "id": 3, "factbase_version": "1"},
     answer({key: verdict(1) for key in FIELDS},
@@ -333,55 +361,79 @@ NEAR_ANSWERS = [
 
 @pytest.mark.parametrize("value", NEAR_VERDICTS + NEAR_ANSWERS)
 def test_dump_fast_paths_match_json_dumps(value):
-    # each value alone, as each of an answer's invariants, and in a batch;
-    # the coincalc process has room for 985 levels of id, and pytest's own
-    # frames need room on top of that
+    # each value alone, as each of an answer's invariants, and in a batch
     limit = sys.get_int_max_str_digits()
-    frames = sys.getrecursionlimit()
-    sys.setrecursionlimit(frames + 200)
     as_invariants = answer(dict.fromkeys(FIELDS, value))
-    try:
-        for wrapped in (value, as_invariants, [as_invariants]):
-            assert _dump(wrapped) == reference_dump(wrapped)
-            assert sys.get_int_max_str_digits() == limit
-    finally:
-        sys.setrecursionlimit(frames)
+    for wrapped in (value, as_invariants, [as_invariants]):
+        assert _dump(wrapped) == reference_dump(wrapped)
+        assert sys.get_int_max_str_digits() == limit
+
+
+def _call_at_depth(frames, fn, *args):
+    """fn(*args) called with ``frames`` more frames on the stack."""
+    if frames:
+        return _call_at_depth(frames - 1, fn, *args)
+    return fn(*args)
+
+
+@pytest.mark.parametrize("frames", [0, 30, 60])
+def test_dump_of_a_deep_id_recurses_at_no_depth(frames):
+    # the CLI parses an id nested 985 deep; writing it takes no frame per
+    # level, so a caller deep in its own stack can write it too
+    deep = answer(SEVEN, qid=nested(985, verdict(1)))
+    want = reference_dump(deep)
+    assert _call_at_depth(frames, _dump, deep) == want
+    assert _call_at_depth(frames, _dump, [deep, deep]) == reference_dump(
+        [deep, deep])
+
+
+def test_dump_raises_as_json_dumps_does():
+    loop = []
+    loop.append(loop)
+    for bad, error in ((answer({}, qid=object()), TypeError),
+                       ({(1, 2): "x"}, TypeError),
+                       ({1: "a", "b": 2}, TypeError),
+                       (answer(SEVEN, qid=loop), ValueError)):
+        with pytest.raises(error):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(error):
+            _dump(bad)
 
 
 def test_dump_caches_stay_bounded(monkeypatch):
     from coincalc import cli
-    monkeypatch.setattr(cli, "_FRAGMENTS", {})
+    monkeypatch.setattr(cli, "_VERDICTS", {})
     stiefel = run_query({"id": "x", "family": "stiefel",
                          "payload": {"r": 7, "k": 3}})
     _dump(stiefel)
-    # an answer's key heads are prebuilt, and its verdicts are kept
-    assert ("\n", tuple(stiefel)) in cli._HEADS
-    assert ("\n  ", tuple(stiefel["invariants"])) in cli._HEADS
-    assert cli._FRAGMENTS
+    _dump([stiefel])
+    # an answer's verdicts are kept, at the line prefix of each template
+    assert {key[0] for key in cli._VERDICTS} == {"\n    ", "\n      "}
 
     limit = sys.get_int_max_str_digits()
     for i in range(3000):
         fresh = 10 ** 4400 + i if i % 100 == 0 else 10 ** 30 + i
         trace = [f"Thm{i}", "x" * (i % 600)]
-        deep = nested(10, verdict(1, trace))  # past the kept depth
+        deep = nested(10, verdict(1, trace))
         invariants = {key: verdict(fresh if j else i % 150, trace)
                       for j, key in enumerate(FIELDS)}
-        value = answer(invariants, qid=deep if i % 10 == 0 else i)
+        value = answer(invariants, qid=deep if i % 10 == 0 else f"q{i}")
         _dump(value if i % 2 else [value])
         assert sys.get_int_max_str_digits() == limit
     with pytest.raises(TypeError):
         _dump(answer({}, qid=object()))
     assert sys.get_int_max_str_digits() == limit
 
-    assert len(cli._FRAGMENTS) == cli._FRAGMENT_CAP  # filled, not past
-    assert all(len(text) <= cli._FRAGMENT_CHARS
-               for text in cli._FRAGMENTS.values())
-    # a kept value is a string or a small int, never a per-query one
-    assert all(type(key[2]) is str or 0 <= key[2] < cli._SMALL_INT
-               for key in cli._FRAGMENTS if len(key) == 3)
-    assert all(key[0] in cli._LAYOUTS for key in cli._FRAGMENTS)
-    assert len(cli._LAYOUTS) == cli._KEPT_DEPTH
-    assert len(cli._HEADS) == cli._KEPT_DEPTH * len(cli._SHAPES)
+    assert len(cli._VERDICTS) == cli._VERDICT_CAP  # filled, not past
+    assert all(len(text) <= cli._VERDICT_CHARS
+               for text in cli._VERDICTS.values())
+    # keyed on a template's line prefix, a str or small-int value, never a
+    # per-query one, and a trace of strings
+    for nl, value, trace in cli._VERDICTS:
+        assert nl in ("\n    ", "\n      ")
+        assert type(value) is str or (type(value) is int
+                                      and 0 <= value < cli._SMALL_INT)
+        assert type(trace) is tuple and all(type(x) is str for x in trace)
 
 
 @pytest.mark.parametrize("rows, m, n", [
@@ -634,6 +686,19 @@ def test_batch_has_no_jobs_flag(tmp_path):
     result = run_cli("batch", str(path), "--jobs", "2")
     assert result.returncode == 2
     assert "--jobs" in result.stderr
+
+
+def test_library_caller_imports_no_argparse():
+    result = run_python("-c", textwrap.dedent("""
+        import sys
+        from coincalc import cli, tables
+        tables.set_factbase(tables.FactBase.load())
+        cli._dump(cli.run_query({"id": "a", "family": "stiefel",
+                                 "payload": {"r": 7, "k": 3}}))
+        print(sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+        """))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_cli_import_starts_no_executor():

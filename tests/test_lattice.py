@@ -439,6 +439,48 @@ def test_cokernel_order_of_square_and_tall_never_reaches_smith_mod(
     assert len(calls) >= 4
 
 
+@st.composite
+def row_factor_matrices(draw, max_rows=6):
+    """Wide matrices whose rows each carry a factor of their own, of up to
+    seven digits, with up to two rows zeroed."""
+    r = draw(st.integers(1, max_rows))
+    c = draw(st.integers(r + 1, r + 3))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=c,
+                                  max_size=c), min_size=r, max_size=r))
+    factors = draw(st.lists(st.sampled_from((1, 2, 6, 10 ** 6 + 3))
+                            | st.integers(1, 10 ** 7), min_size=r,
+                            max_size=r))
+    for i in draw(st.sets(st.integers(0, r - 1), max_size=2)):
+        rows[i] = [0] * c
+    return IntMatrix.from_rows([[f * x for x in row]
+                                for f, row in zip(factors, rows)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(row_factor_matrices(), order_matrices()))
+def test_cokernel_order_is_the_product_of_invariant_factors(a):
+    factors = invariant_factors(a)
+    assert cokernel_order(a) == (math.prod(factors) if len(factors) == a.rows
+                                 else INFINITE)
+
+
+def test_cokernel_order_divides_out_row_factors_at_the_digit_cap():
+    # the slowest shape before row contents were divided out: 63x64 at
+    # the cap, each row with its own 7-digit factor.  Every maximal minor
+    # holds each row once, so the order is the product of the factors times
+    # that of the matrix without them.
+    from coincalc.cli import MAX_MATRIX_DIGITS, _digits
+    rng = random.Random(63)
+    b = [[rng.randint(-9, 9) for _ in range(64)] for _ in range(63)]
+    c = [rng.randint(10 ** 6, 10 ** 7 - 1) for _ in range(63)]
+    a = IntMatrix.from_rows([[f * x for x in row] for f, row in zip(c, b)])
+    assert 0.9 * MAX_MATRIX_DIGITS < sum(map(_digits, a.entries)) \
+        <= MAX_MATRIX_DIGITS
+    quotient = invariant_factors(IntMatrix.from_rows(b))
+    assert len(quotient) == 63
+    assert cokernel_order(a) == math.prod(c) * math.prod(quotient)
+
+
 def _random_unimodular(rng, n, shears=6):
     rows = IntMatrix.identity(n).to_rows()
     for _ in range(shears):

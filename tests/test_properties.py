@@ -2,8 +2,11 @@
 
 Every payload gets an answer or is refused as bad input (QueryError or
 DescriptorError): no rule clash (ConsistencyError) and no other exception.
-Every bundle an engine emits satisfies the inequality chain.
+Every bundle an engine emits satisfies the inequality chain, and every
+answer is written as json.dumps writes it.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +135,22 @@ def test_every_payload_is_answered_or_refused(family):
             bundle, target_dim, _ = runner(payload)
             assert validate_bundle(bundle, target_dim) == []
     check()
+
+
+QUERIES = st.sampled_from(sorted(PAYLOADS)).flatmap(
+    lambda family: st.fixed_dictionaries({
+        "id": st.text(max_size=6), "family": st.just(family),
+        "payload": PAYLOADS[family]}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(QUERIES, min_size=1, max_size=6))
+def test_answers_of_every_family_are_written_as_json_dumps_writes_them(
+        queries):
+    answers = cli.run_batch(queries)  # refused payloads give error answers
+    for answer in answers + [answers]:
+        assert cli._dump(answer) == json.dumps(
+            answer, indent=2, sort_keys=True) + "\n"
 
 
 def _mul(a, b):
