@@ -58,11 +58,11 @@ wecken = _Lazy("wecken")
 
 # bounds on a torus h1, which keep its cokernel order to about a second on
 # a 2-core host.  At the 32,000-digit cap a square 64x64 matrix takes one
-# elimination, 0.15-0.25 s.  A wide 63x64 one takes 0.15-0.2 s when random
+# elimination, 0.13-0.25 s.  A wide 63x64 one takes 0.13-0.2 s when random
 # and 0.03-0.05 s when each row carries its own 7-digit factor, which is
 # divided out.  The slowest are wide ones whose factors are hidden, L*D*B
 # with L unit lower-bidiagonal, D a diagonal of 7-digit factors and B of
-# entries in -2..2, whose cokernel order has about 420 digits: 0.7 s.
+# entries in -2..2, whose cokernel order has about 420 digits: 0.7-0.9 s.
 MAX_MATRIX_DIM = 64
 MAX_MATRIX_DIGITS = 32_000  # decimal digits of all entries together
 
@@ -279,15 +279,17 @@ def run_query(query: dict) -> dict:
     qid = query.get("id", "")
     version = get_factbase().version
 
-    # each runner is read from this module's namespace when it is called,
-    # so that a wrapper set there (perfbench's tracer) is called too
     if family == "wecken" or family == "fixedpoint":
-        name, fact = globals()[f"_run_{family}_fact"](payload)
+        name, fact = (_run_wecken_fact if family == "wecken"
+                      else _run_fixedpoint_fact)(payload)
         invariants = {name: {"value": fact.truth.value,
                              "trace": [fact.rule] if fact.rule else []}}
         warnings = []
     else:
-        bundle, target_dim, warnings = globals()[f"_run_{family}"](payload)
+        runner = {"torus": _run_torus, "sphere": _run_sphere,
+                  "spaceform": _run_spaceform, "projective": _run_projective,
+                  "stiefel": _run_stiefel}[family]
+        bundle, target_dim, warnings = runner(payload)
         violations = validate_bundle(bundle, target_dim)
         if violations:
             raise ConsistencyError(
@@ -296,8 +298,7 @@ def run_query(query: dict) -> dict:
         for name, v in zip(_FIELD_NAMES, bundle._values):
             value = v.value
             invariants[name] = {
-                "value": value if type(value) is int
-                else "infinite" if value is INFINITE else "unknown",
+                "value": value if isinstance(value, int) else value.value,
                 "trace": list(v.trace)}
     return {"id": qid, "factbase_version": version,
             "invariants": invariants, "warnings": warnings}
@@ -411,15 +412,17 @@ def _answer(a, t: _Template, out: list, fresh: dict) -> bool:
     """If a has the shape run_query returns, append its text, laid out by
     t, to out and return True; otherwise leave out as it was and return
     False."""
-    if type(a) is not dict or len(a) != 4:
+    if type(a) is not dict or len(a) != 4 or "id" not in a:
         return False
     version, qid = a.get("factbase_version"), a.get("id")
     invariants, warnings = a.get("invariants"), a.get("warnings")
-    if (type(version) is not str or type(qid) is not str
-            or type(invariants) is not dict or type(warnings) is not list):
+    if (type(version) is not str or type(invariants) is not dict
+            or type(warnings) is not list):
         return False
     mark = len(out)
-    out += t.head, _escape(version), t.id, _escape(qid), t.invariants
+    out += (t.head, _escape(version), t.id,
+            _escape(qid) if type(qid) is str else _write(qid, t.inner),
+            t.invariants)
     fields = t.fields if invariants.keys() == _FIELD_SET else [
         (name, ("," if i else "{") + t.item + _key(name) + ": ")
         for i, name in enumerate(sorted(invariants))]

@@ -17,8 +17,8 @@ outgrow it.  By Sylvester's identity each block of that elimination is its
 pivot minor times a Schur complement, so the reduction runs on the latest
 block of the last few whose pivot minor is prime to g, and on the whole
 matrix only when none is.  ``cokernel`` reads only those factors and is
-library API; ``invariant_factors`` is too, and its body ``_factors``
-serves the wide matrices of ``cokernel_order``.
+library API; ``invariant_factors`` is too, and serves the wide matrices of
+``cokernel_order``.
 
 ``smith_normal_form`` runs the gcd-pivot elimination ``_reduce`` with the
 U and V transforms, so the factorization D = U * A * V is returned and can
@@ -388,11 +388,6 @@ def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     rows = a.to_rows()
     if a.rows > a.cols:  # A and its transpose share invariant factors
         rows = [list(col) for col in zip(*rows)]
-    return _factors(rows)
-
-
-def _factors(rows: list[list[int]]) -> tuple[int, ...]:
-    """``invariant_factors`` of ``rows``, no more of them than columns."""
     c = _block_gcd(rows)
     if not c:
         return ()
@@ -437,11 +432,10 @@ def cokernel_order(a: IntMatrix) -> ExtNat:
     contents = [gcd(*row) for row in rows]
     if not all(contents):
         return INFINITE
-    factors = _factors([[x // c for x in row]
-                        for row, c in zip(rows, contents)])
-    if len(factors) < a.rows:
-        return INFINITE
-    return prod(contents) * prod(factors)
+    factors = invariant_factors(IntMatrix(a.rows, a.cols, tuple(
+        x // c for row, c in zip(rows, contents) for x in row)))
+    return (prod(contents) * prod(factors) if len(factors) == a.rows
+            else INFINITE)
 
 
 def cokernel(a: IntMatrix) -> FGAbelianGroup:

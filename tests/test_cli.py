@@ -339,6 +339,8 @@ NEAR_ANSWERS = [
     answer(SEVEN, note="an extra key"),
     {key: value for key, value in answer(SEVEN).items() if key != "warnings"},
     {key: value for key, value in answer(SEVEN).items() if key != "id"},
+    {("qid" if key == "id" else key): value
+     for key, value in answer(SEVEN).items()},
     {**answer(SEVEN), "factbase_version": 1},
     {**answer(SEVEN), "factbase_version": None},
     {**answer(SEVEN), "warnings": ["bound chain: |det| = 6", "≥ Ñ\n", '"']},
@@ -409,6 +411,9 @@ def test_dump_caches_stay_bounded(monkeypatch):
     _dump([stiefel])
     # an answer's verdicts are kept, at the line prefix of each template
     assert {key[0] for key in cli._VERDICTS} == {"\n    ", "\n      "}
+    cli._VERDICTS.clear()
+    _dump({**stiefel, "id": 1})  # whatever its id holds
+    assert {key[0] for key in cli._VERDICTS} == {"\n    "}
 
     limit = sys.get_int_max_str_digits()
     for i in range(3000):
@@ -417,7 +422,7 @@ def test_dump_caches_stay_bounded(monkeypatch):
         deep = nested(10, verdict(1, trace))
         invariants = {key: verdict(fresh if j else i % 150, trace)
                       for j, key in enumerate(FIELDS)}
-        value = answer(invariants, qid=deep if i % 10 == 0 else f"q{i}")
+        value = answer(invariants, qid=deep if i % 10 == 0 else i)
         _dump(value if i % 2 else [value])
         assert sys.get_int_max_str_digits() == limit
     with pytest.raises(TypeError):
