@@ -11,7 +11,6 @@ from coincalc import (
     SpaceFormPairDescriptor,
     SphereClassDescriptor,
     hopf_case,
-    selfcoincidence_chain,
     spaceform_pair_invariants,
     sphere_invariants,
     user_fact,
@@ -60,15 +59,15 @@ exceptional = SpaceFormPairDescriptor(
     e_del_zero=user_fact("yes"),
     hopf_mod4=2)
 
-show("S^11 -> RP(6), exceptional pair", spaceform_pair_invariants(exceptional))
+bundle = spaceform_pair_invariants(exceptional)
+show("S^11 -> RP(6), exceptional pair", bundle)
 
-print("\nThe five-condition chain for that pair:")
-chain = selfcoincidence_chain(exceptional)
-for name in ("del_vanishes", "loose_by_small_deformation", "loose",
-             "n_sharp_zero", "e_del_vanishes"):
-    print(f"  {name:27s} {getattr(chain, name).truth.value}")
-print(f"  looseness resolved by the exceptional equivalences: "
-      f"{chain.mcc_zero_by_cor_1_19.truth.value}")
+print("\nThe selfcoincidence chain for that pair, with each value's trace:")
+for name in ("mcc", "n_sharp", "mc"):
+    verdict = getattr(bundle, name)
+    print(f"  {name:8s} {fmt(verdict)!s:3s} {', '.join(verdict.trace)}")
+print("  N# = 0 since the suspended boundary vanishes, yet MCC = 1: the")
+print("  exceptional case, where the pair is not loose")
 print(f"  Hopf-case looseness test agrees: "
       f"loose = {hopf_case(exceptional).truth.value}")
 

@@ -9,8 +9,10 @@ identifiers; see docs/rules.md.
 
 The public names below are the descriptor records and engines that
 answers run, and library functions that no answer calls: the Smith normal
-form, and the criteria whose rule ids docs/rules.md lists as emitted by
-library functions only.  Each name is imported on its first use.
+form, the Grassmann Euler characteristic, the Wecken overlap scan, and
+the criteria whose rule ids docs/rules.md lists as emitted by library
+functions only.  tests/test_rule_coverage.py pins which public names no
+query reaches.  Each name is imported on its first use.
 """
 
 from importlib import import_module
@@ -36,16 +38,14 @@ _SUBMODULE = {
                    "circle_target_mcc")),
         ("sphere", ("SphereClassDescriptor", "sphere_invariants")),
         ("spaceform", ("SpaceFormPairDescriptor", "spaceform_pair_invariants",
-                       "selfcoincidence_chain", "SelfCoincidenceReport",
-                       "kervaire_case", "hopf_case", "spaceform_mc")),
+                       "kervaire_case", "hopf_case")),
         ("projective", ("ProjectiveField", "ProjectivePairDescriptor",
                         "projective_classify", "projective_invariants",
                         "del_vanishes_by_dimension")),
         ("stiefel", ("StiefelQuery", "grassmann_euler",
                      "stiefel_selfcoincidence")),
         ("wecken", ("TargetFamily", "WeckenQuery", "wecken_condition",
-                    "overlap_disagreements", "coincidence_producing_criterion",
-                    "nsharp_restrictions", "nielsen_value_set",
+                    "overlap_disagreements", "nsharp_restrictions",
                     "fixed_point_wecken")),
     )
     for name in names

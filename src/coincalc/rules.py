@@ -120,12 +120,6 @@ REGISTRY: dict[str, str] = {
     "R7": "m = 2n+2 or m = 2n+3 with n not 4 or 6: holds because the "
           "relevant stable stems vanish",
     "R8": "no registered rule covers this dimension combination",
-    "Thm1.26": "looseness chain for one map: small deformation implies loose "
-               "implies not coincidence producing, the last being detected "
-               "by the punctured-target image of the boundary class",
-    "Cond1.27": "when the punctured-target inclusion is injective on "
-                "homotopy, the looseness chain collapses to a single "
-                "condition",
     "Thm1.33": "necessary restrictions for a nonzero selfcoincidence N#",
     "Thm1.33a": "restriction: n even with m >= n >= 4, or m = 2 with a "
                 "2-dimensional sphere-like target",
@@ -135,9 +129,6 @@ REGISTRY: dict[str, str] = {
                 "characteristic and nonvanishing suspended boundary",
     "Thm1.33d": "restriction: no fixed-point-free selfmap and the punctured "
                 "inclusion not onto (caller-supplied)",
-    "Thm1.34": "Nielsen numbers of pairs from a sphere take only the values "
-               "0, the Reidemeister count, and possibly 1 when all "
-               "restrictions can be met",
     "Ex3.9": "classical fixed point theory: the Wecken property holds iff "
              "the manifold is not a surface of negative Euler "
              "characteristic",

@@ -227,17 +227,6 @@ def spaceform_pair_invariants(d: SpaceFormPairDescriptor) -> InvariantBundle:
                            reidemeister=reid)
 
 
-def spaceform_mc(d: SpaceFormPairDescriptor) -> Verdict:
-    """MC for odd-dimensional space forms: infinite outside the
-    suspension-projection image, 0 for homotopic maps or m < n, the group
-    order otherwise."""
-    if d.n % 2 == 0 or d.n < 3:
-        raise DescriptorError("spaceform_mc needs an odd target, n >= 3")
-    if d.m < 2:
-        raise DescriptorError("spaceform_mc needs m >= 2")
-    return _spaceform_mc(resolve(d))
-
-
 _MC_INFINITE_43 = Verdict.infinite(("Prop4.3",))
 _MC_ZERO_43 = Verdict.finite(0, ("Prop4.3",))
 _MC_NEEDS_IMAGE = Verdict.unknown(("Prop4.3", "needs:in_psE_image"))
@@ -245,92 +234,18 @@ _MC_NEEDS_HOMOTOPIC = Verdict.unknown(("Prop4.3", "needs:homotopic"))
 
 
 def _spaceform_mc(d: SpaceFormPairDescriptor) -> Verdict:
-    """spaceform_mc of a resolved descriptor."""
+    """MC of a resolved pair not known to be homotopic, with odd n >= 3
+    and m >= 2 (Prop4.3): infinite outside the suspension-projection image,
+    0 for m < n, the group order otherwise."""
     if d.in_psE_image.is_no():
         return _MC_INFINITE_43
-    if d.homotopic.is_yes() or d.m < d.n:
+    if d.m < d.n:
         return _MC_ZERO_43
     if d.in_psE_image.is_unknown():
         return _MC_NEEDS_IMAGE
     if d.homotopic.is_no():
         return Verdict.finite(d.group_order, ("Prop4.3",))
     return _MC_NEEDS_HOMOTOPIC
-
-
-class SelfCoincidenceReport(Record):
-    """The five conditions of the selfcoincidence chain, as facts.
-
-    (i) the boundary class vanishes; (ii) loose by small deformation;
-    (iii) loose, i.e. MCC = 0; (iv) N# = 0; (v) the suspended boundary
-    vanishes.  (i) <=> (ii) and (iv) <=> (v) always; (iii) <=> (iv) when
-    the group order is not 2.  ``mcc_zero_by_cor_1_19`` resolves (iii)
-    in the remaining gap, where the chain alone is silent.
-    """
-
-    __slots__ = ("del_vanishes", "loose_by_small_deformation", "loose",
-                 "n_sharp_zero", "e_del_vanishes", "mcc_zero_by_cor_1_19",
-                 "implications")
-
-    def __init__(self, del_vanishes: Fact,  # (i)
-                 loose_by_small_deformation: Fact,  # (ii)
-                 loose: Fact,  # (iii), from the chain alone
-                 n_sharp_zero: Fact,  # (iv)
-                 e_del_vanishes: Fact,  # (v)
-                 mcc_zero_by_cor_1_19: Fact | None,
-                 implications: tuple[str, ...]):
-        _set(self, "del_vanishes", del_vanishes)
-        _set(self, "loose_by_small_deformation", loose_by_small_deformation)
-        _set(self, "loose", loose)
-        _set(self, "n_sharp_zero", n_sharp_zero)
-        _set(self, "e_del_vanishes", e_del_vanishes)
-        _set(self, "mcc_zero_by_cor_1_19", mcc_zero_by_cor_1_19)
-        _set(self, "implications", implications)
-
-
-_CHAIN_NOTES = (
-    "(i) <=> (ii)",
-    "(ii) => (iii)",
-    "(iii) => (iv)",
-    "(iv) <=> (v)",
-)
-
-
-_NO_COR119 = no("Cor1.19")
-
-
-def selfcoincidence_chain(d: SpaceFormPairDescriptor) -> SelfCoincidenceReport:
-    if not d.homotopic.is_yes():
-        raise DescriptorError("the selfcoincidence chain needs homotopic = yes")
-    d = resolve(d)
-    i = ii = _THM115[d.del_zero.truth]
-    iv = v = _THM115[d.e_del_zero.truth]
-
-    notes = list(_CHAIN_NOTES)
-    resolution = None
-    if d.del_zero.is_yes():
-        iii = _YES_115
-    elif d.e_del_zero.is_no():
-        iii = _NO_115
-    elif d.group_order != 2:
-        iii = iv
-        notes.append("(iii) <=> (iv) since the group order is not 2")
-    else:
-        iii = _THM115[Truth.UNKNOWN]
-        if d.del_zero.is_no() and d.e_del_zero.is_yes():
-            resolution = _NO_COR119
-            notes.append(
-                "(iii) resolved to no by the exceptional-case equivalences"
-            )
-
-    return SelfCoincidenceReport(
-        del_vanishes=i,
-        loose_by_small_deformation=ii,
-        loose=iii,
-        n_sharp_zero=iv,
-        e_del_vanishes=v,
-        mcc_zero_by_cor_1_19=resolution,
-        implications=tuple(notes),
-    )
 
 
 _NO_BROWDER = no("Browder")

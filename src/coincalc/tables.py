@@ -73,10 +73,9 @@ class FactBase:
 
     @classmethod
     def from_text(cls, raw: str) -> "FactBase":
-        errors = lint_text(raw)
+        doc, errors = _parse_and_lint(raw)
         if errors:
             raise FactBaseError(errors)
-        doc = json.loads(raw)
         pinpoints = [
             PinpointGroupFact(
                 key=e["key"],
@@ -203,18 +202,24 @@ _KEYS = ("version", "framed_so", "pinpoints")
 def lint_text(raw: str) -> list[tuple[int | None, str]]:
     """All lint violations in a fact file, each with a line number when the
     offending entry can be located.  Empty list means the file is clean."""
+    return _parse_and_lint(raw)[1]
+
+
+def _parse_and_lint(raw: str) -> tuple[object, list[tuple[int | None, str]]]:
+    """The parsed fact file and its lint violations; the file is parsed
+    once, so that loading it does not decode the text twice."""
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
-        return [(exc.lineno, f"not valid JSON: {exc.msg}")]
+        return None, [(exc.lineno, f"not valid JSON: {exc.msg}")]
     except ValueError as exc:  # an integer past CPython's digit limit
-        return [(None, f"not valid JSON: {exc}")]
+        return None, [(None, f"not valid JSON: {exc}")]
     except RecursionError:
-        return [(None, "not valid JSON: nested too deeply")]
+        return None, [(None, "not valid JSON: nested too deeply")]
 
     # the shape first, so that the entry checks below can index freely
     if not isinstance(doc, dict):
-        return [(None, "the fact base must be a JSON object")]
+        return doc, [(None, "the fact base must be a JSON object")]
     errors: list[tuple[int | None, str]] = [
         (None, f"unknown top-level key {key!r}")
         for key in doc if key not in _KEYS]
@@ -238,7 +243,7 @@ def lint_text(raw: str) -> list[tuple[int | None, str]]:
             if not isinstance(e, dict):
                 fail(section, i, "an entry must be a JSON object")
     if errors:
-        return errors
+        return doc, errors
 
     seen_k = set()
     for i, e in enumerate(doc["framed_so"]):
@@ -293,7 +298,7 @@ def lint_text(raw: str) -> list[tuple[int | None, str]]:
         if not _cited(e):
             fail("pinpoints", i, "missing citation")
 
-    return errors
+    return doc, errors
 
 
 # -- default instance ------------------------------------------------------

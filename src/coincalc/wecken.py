@@ -1,4 +1,5 @@
-"""Decision engine for the Wecken condition and related criteria.
+"""Decision engine for the Wecken condition, the necessary restrictions
+for a nonzero selfcoincidence N#, and the fixed point Wecken dichotomy.
 
 The Wecken condition for (m, N) asks that the boundary image in the
 homotopy of the fiber sphere meets the suspension kernel trivially; it is
@@ -152,77 +153,6 @@ def wecken_condition(q: WeckenQuery) -> Fact:
     return _RULE_FACTS[rule_id][truth]
 
 
-class CoincidenceProducingReport(Record):
-    """Conditions (ii), (iii), (iii'), (iii'') of the one-map looseness
-    chain: small-deformation looseness implies looseness implies not
-    coincidence producing, the last detected by the punctured-target image
-    of the boundary class."""
-
-    __slots__ = ("loose_by_small_deformation", "loose",
-                 "not_coincidence_producing", "j_image_vanishes",
-                 "implications")
-
-    def __init__(self, loose_by_small_deformation: Fact,  # (ii)
-                 loose: Fact,  # (iii)
-                 not_coincidence_producing: Fact,  # (iii')
-                 j_image_vanishes: Fact,  # (iii'')
-                 implications: tuple[str, ...]):
-        _set(self, "loose_by_small_deformation", loose_by_small_deformation)
-        _set(self, "loose", loose)
-        _set(self, "not_coincidence_producing", not_coincidence_producing)
-        _set(self, "j_image_vanishes", j_image_vanishes)
-        _set(self, "implications", implications)
-
-
-_THM126 = rule_facts("Thm1.26")
-_COND127 = rule_facts("Cond1.27")
-
-
-def coincidence_producing_criterion(
-    del_zero: Fact, j_injective: Fact, j_of_del_zero: Fact
-) -> CoincidenceProducingReport:
-    if del_zero.is_yes():
-        if j_of_del_zero.is_no():
-            raise DescriptorError(
-                "del_zero = yes forces j_of_del_zero = yes"
-            )
-        if j_of_del_zero.is_unknown():
-            j_of_del_zero = _THM126[Truth.YES]
-    if j_injective.is_yes():
-        if (not del_zero.is_unknown() and not j_of_del_zero.is_unknown()
-                and del_zero.truth is not j_of_del_zero.truth):
-            raise DescriptorError(
-                "j injective makes del_zero and j_of_del_zero equivalent"
-            )
-        if del_zero.is_unknown() and not j_of_del_zero.is_unknown():
-            del_zero = _COND127[j_of_del_zero.truth]
-        if j_of_del_zero.is_unknown() and not del_zero.is_unknown():
-            j_of_del_zero = _COND127[del_zero.truth]
-
-    ii = del_zero
-    iii_second = _THM126[j_of_del_zero.truth]
-    iii_prime = iii_second
-
-    notes = ["(ii) => (iii) => (iii')", "(iii') <=> (iii'')"]
-    if ii.is_yes():
-        iii = _THM126[Truth.YES]
-    elif iii_prime.is_no():
-        iii = _THM126[Truth.NO]
-    elif j_injective.is_yes():
-        iii = _COND127[ii.truth]
-        notes.append("(ii) <=> (iii'') collapses the chain")
-    else:
-        iii = _THM126[Truth.UNKNOWN]
-
-    return CoincidenceProducingReport(
-        loose_by_small_deformation=ii,
-        loose=iii,
-        not_coincidence_producing=iii_prime,
-        j_image_vanishes=iii_second,
-        implications=tuple(notes),
-    )
-
-
 _NO_THM133A = no("Thm1.33a")
 _NO_THM133B = no("Thm1.33b")
 _NO_THM133C = no("Thm1.33c")
@@ -259,36 +189,6 @@ def nsharp_restrictions(
     if no_loose_selfmap_and_i_not_onto.is_no():
         return _NO_THM133D
     return _UNKNOWN_THM133
-
-
-class NielsenValueSet(Record):
-    """Possible values of the four Nielsen numbers for pairs from S^m."""
-
-    __slots__ = ("values", "rule")
-
-    def __init__(self, values: tuple[int | object, ...],
-                 rule: str = "Thm1.34"):
-        _set(self, "values", values)
-        _set(self, "rule", rule)
-
-
-def nielsen_value_set(pi1_count: int | object,
-                      restrictions_ok: Fact) -> NielsenValueSet:
-    """Value set {0, k} (restrictions violated) or {0, 1, k} (possibly
-    satisfiable), where k is the number of elements of the fundamental
-    group."""
-    if pi1_count is not INFINITE and (
-            not isinstance(pi1_count, int) or pi1_count < 1):
-        raise DescriptorError("pi1_count must be a positive count or "
-                              "infinite")
-    values: list[int | object] = [0]
-    if not restrictions_ok.is_no():
-        values.append(1)
-    if pi1_count is INFINITE:
-        values.append(INFINITE)
-    elif pi1_count not in values:
-        values.append(pi1_count)
-    return NielsenValueSet(tuple(values))
 
 
 _YES_EX39, _NO_EX39 = yes("Ex3.9"), no("Ex3.9")

@@ -12,7 +12,7 @@ import pytest
 from coincalc.errors import DescriptorError
 from coincalc.lattice import FGAbelianGroup, IntMatrix
 from coincalc.projective import ProjectiveField, ProjectivePairDescriptor
-from coincalc.spaceform import SelfCoincidenceReport, SpaceFormPairDescriptor
+from coincalc.spaceform import SpaceFormPairDescriptor
 from coincalc.sphere import SphereClassDescriptor
 from coincalc.stiefel import StiefelQuery
 from coincalc.tables import PinpointGroupFact
@@ -25,15 +25,9 @@ from coincalc.verdict import (
     Record,
     Truth,
     Verdict,
-    no,
     user_fact,
 )
-from coincalc.wecken import (
-    CoincidenceProducingReport,
-    NielsenValueSet,
-    TargetFamily,
-    WeckenQuery,
-)
+from coincalc.wecken import TargetFamily, WeckenQuery
 
 YES, NO, UNK = user_fact("yes"), user_fact("no"), user_fact("unknown")
 DIAG = IntMatrix(2, 2, (2, 0, 0, 3))
@@ -60,16 +54,10 @@ CASES = {
         ([ProjectiveField.C, 1, 5], DescriptorError)),
     WeckenQuery: ([11, 6], [5, 3, TargetFamily.GENERAL, YES],
                   ([0, 3], DescriptorError)),
-    CoincidenceProducingReport: ([YES, YES, YES, YES, ("(ii) => (iii)",)],
-                                 [UNK, NO, no("Thm1.26"), UNK, ()], None),
-    NielsenValueSet: ([(0, 1, 4)], [(0, INFINITE), "Thm1.33"], None),
     StiefelQuery: ([7, 3], [8, 2, True], ([3, 2], DescriptorError)),
     SpaceFormPairDescriptor: (
         [5, 3, 2], [7, 3, 4, YES, YES, UNK, UNK, 2, YES],
         ([5, 4, 3], DescriptorError)),
-    SelfCoincidenceReport: ([YES, YES, YES, YES, YES, None, ()],
-                            [NO, NO, UNK, NO, NO, no("Cor1.19"),
-                             ("(i) <=> (ii)",)], None),
     TorusPairDescriptor: ([2, 2, DIAG, True], [3, 2, DIAG, False, YES, NO],
                           ([2, 3, DIAG, True], DescriptorError)),
 }

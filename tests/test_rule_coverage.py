@@ -1,21 +1,26 @@
-"""Rule-id coverage of the query path.
+"""Rule-id and public-name coverage of the query path.
 
 The golden corpus and one round of each perfbench workload (seed 1) go
 through ``run_query``.  Every rule id an answer emits must be registered,
 and the registered ids that no answer emits must be exactly the pinned
 list below, so that a rule that becomes reachable, or stops being
-reached, shows up as a difference.  The workload generators are imported
-from perfbench and only read.
+reached, shows up as a difference.  Likewise the public names of
+``coincalc`` whose code no query runs are pinned, so that a new
+library-only function shows up too.  The workload generators are
+imported from perfbench and only read.
 
-Print the report (each id with its count, then the ids never emitted):
+Print the report (each id with its count, the ids never emitted, then the
+public names no query reaches):
 
     PYTHONPATH=src python tests/test_rule_coverage.py
 """
 
+import inspect
 import sys
 from collections import Counter
 from pathlib import Path
 
+import coincalc
 from coincalc.cli import QueryError, run_query
 from coincalc.errors import DescriptorError
 from coincalc.rules import REGISTRY
@@ -26,16 +31,32 @@ SEED = 1
 # Registered ids that no query of the corpus reaches, in REGISTRY order:
 # the ids only library functions emit (docs/rules.md names each function:
 # Cor3.8, the Kervaire and Hopf cases Thm1.20 and Thm1.22 with Browder, HHR
-# and HHR-open, Prop1.14, Thm1.26/Cond1.27, Thm1.33*, Thm1.34), and rules
-# and needs: ids that queries reach but the generated payloads do not
-# (tests/test_cli.py pins a query for each).
+# and HHR-open, Prop1.14, Thm1.33*), and rules and needs: ids that queries
+# reach but the generated payloads do not (tests/test_cli.py pins a query
+# for each).
 NEVER_EMITTED = frozenset({
     "Cor3.8", "Thm1.20", "Browder", "HHR", "HHR-open",
     "Thm1.22", "Prop1.14", "R6", "R7", "R8",
-    "Thm1.26", "Cond1.27", "Thm1.33", "Thm1.33a", "Thm1.33b", "Thm1.33c",
-    "Thm1.33d", "Thm1.34", "needs:homotopic", "needs:del_zero",
-    "needs:e_del_zero",
+    "Thm1.33", "Thm1.33a", "Thm1.33b", "Thm1.33c", "Thm1.33d",
+    "needs:homotopic", "needs:del_zero", "needs:e_del_zero",
 })
+
+
+# Public names of coincalc whose code no query of the corpus runs: the
+# library functions whose ids docs/rules.md lists as library-only; the
+# Smith form and group view, the Grassmann Euler characteristic and the
+# Wecken overlap scan, which tests, demos and perfbench call; and the fact
+# base's installer, which cli.main calls outside run_query, and the error a
+# bad fact file raises.  Names with no code of their own (plain exception
+# classes, enums without methods, constants) are not counted.
+LIBRARY_ONLY = frozenset({
+    "circle_target_mcc", "kervaire_case", "hopf_case",
+    "del_vanishes_by_dimension", "nsharp_restrictions",
+    "FGAbelianGroup", "SmithNormalForm", "smith_normal_form", "cokernel",
+    "grassmann_euler", "overlap_disagreements",
+    "set_factbase", "FactBaseError",
+})
+PACKAGE = Path(coincalc.__file__).parent
 
 
 def corpus() -> list[dict]:
@@ -60,6 +81,54 @@ def emitted_ids(queries: list[dict]) -> Counter:
     return counts
 
 
+def reached_code(queries: list[dict]) -> set:
+    """The code objects of every Python function called while the queries
+    are answered."""
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        emitted_ids(queries)
+    finally:
+        sys.setprofile(previous)
+    return reached
+
+
+def own_code(obj) -> set:
+    """The code that coincalc defines for a public name: a function's own,
+    or that of each method, classmethod, staticmethod and property getter
+    in a class body."""
+    members = list(vars(obj).values()) if inspect.isclass(obj) else [obj]
+    code = set()
+    for member in members:
+        if isinstance(member, (classmethod, staticmethod)):
+            member = member.__func__
+        elif isinstance(member, property):
+            member = member.fget
+        if (inspect.isfunction(member)
+                and Path(member.__code__.co_filename).parent == PACKAGE):
+            code.add(member.__code__)
+    return code
+
+
+def unreached_names(reached: set) -> set[str]:
+    return {name for name in coincalc.__all__
+            if (code := own_code(getattr(coincalc, name)))
+            and not code & reached}
+
+
+def test_public_names_no_query_reaches_are_pinned():
+    unreached = unreached_names(reached_code(corpus()))
+    assert unreached == LIBRARY_ONLY, (
+        f"now reached: {sorted(LIBRARY_ONLY - unreached)}; "
+        f"reached by no query: {sorted(unreached - LIBRARY_ONLY)}")
+
+
 def test_emitted_ids_are_registered_and_the_rest_pinned():
     emitted = emitted_ids(corpus())
     assert sorted(set(emitted) - set(REGISTRY)) == []
@@ -70,12 +139,16 @@ def test_emitted_ids_are_registered_and_the_rest_pinned():
 
 
 def main() -> None:
-    emitted = emitted_ids(corpus())
+    queries = corpus()
+    emitted = emitted_ids(queries)
     for rule_id in REGISTRY:
         print(f"{emitted[rule_id]:8d}  {rule_id}")
     never = [rule_id for rule_id in REGISTRY if rule_id not in emitted]
     print(f"{len(never)} of {len(REGISTRY)} registered ids never emitted: "
           + ", ".join(never))
+    unreached = sorted(unreached_names(reached_code(queries)))
+    print(f"{len(unreached)} of {len(coincalc.__all__)} public names no "
+          "query reaches: " + ", ".join(unreached))
 
 
 if __name__ == "__main__":

@@ -10,8 +10,6 @@ from coincalc import (
     UNKNOWN,
     hopf_case,
     kervaire_case,
-    selfcoincidence_chain,
-    spaceform_mc,
     spaceform_pair_invariants,
     user_fact,
     validate_bundle,
@@ -108,36 +106,40 @@ def test_weaker_nielsen_numbers_stay_open():
         assert verdict.trace == ("Prop7.2-valueset",)
 
 
-# -- the selfcoincidence chain ------------------------------------------------
+# -- the selfcoincidence chain, as the engine answers it ----------------------
+#
+# (i) the boundary vanishes <=> (ii) loose by small deformation => (iii)
+# loose (MCC = 0) => (iv) N# = 0 <=> (v) the suspended boundary vanishes;
+# (iii) <=> (iv) unless the group order is 2, where Cor1.19 splits them
 
 
 def test_chain_all_yes():
-    report = selfcoincidence_chain(descriptor(9, 5, 3, hom="yes", dz="yes"))
-    assert report.del_vanishes.is_yes()
-    assert report.loose_by_small_deformation.is_yes()
-    assert report.loose.is_yes()
-    assert report.n_sharp_zero.is_yes()
-    assert report.e_del_vanishes.is_yes()
+    d = descriptor(9, 5, 3, hom="yes", dz="yes")
+    assert resolve(d).e_del_zero.is_yes()  # (i) => (v)
+    b = spaceform_pair_invariants(d)
+    assert b.mcc.value == b.n_sharp.value == 0  # (iii) and (iv)
+    assert b.mc.value == 0
+    assert b.mc.trace == ("Thm1.15",)
 
 
 def test_chain_all_no():
-    report = selfcoincidence_chain(
+    b = spaceform_pair_invariants(
         descriptor(10, 6, 2, hom="yes", dz="no", edz="no"))
-    assert report.del_vanishes.is_no()
-    assert report.loose_by_small_deformation.is_no()
-    assert report.loose.is_no()
-    assert report.n_sharp_zero.is_no()
-    assert report.e_del_vanishes.is_no()
+    assert b.mcc.value == b.n_sharp.value == 1  # not loose, N# nonzero
+    assert b.mc.value == 1
+    assert b.mc.trace == ("Thm1.15",)
 
 
 def test_chain_gap_resolved_by_exceptional_equivalences():
-    report = selfcoincidence_chain(
+    # (iv) and (v) hold, (i) fails: the chain alone leaves (iii) open,
+    # and Cor1.19 answers it: not loose
+    b = spaceform_pair_invariants(
         descriptor(11, 6, 2, hom="yes", dz="no", edz="yes"))
-    assert report.n_sharp_zero.is_yes()
-    assert report.e_del_vanishes.is_yes()
-    assert report.loose.is_unknown()  # the chain alone is silent
-    assert report.mcc_zero_by_cor_1_19.is_no()
-    assert report.mcc_zero_by_cor_1_19.rule == "Cor1.19"
+    assert b.n_sharp.value == 0
+    assert b.mcc.value == 1
+    assert b.mc.value == 1
+    assert b.mcc.trace == b.n_sharp.trace == ("Thm1.10", "Cor1.19")
+    assert b.mc.trace == ("Thm1.15",)
 
 
 def test_resolve_builds_no_second_validated_descriptor(monkeypatch):
@@ -156,9 +158,7 @@ def test_resolve_builds_no_second_validated_descriptor(monkeypatch):
     for d in cases:
         before = len(built)
         resolved = resolve(d)
-        spaceform_pair_invariants(d)
-        if d.n % 2:
-            spaceform_mc(d)
+        spaceform_pair_invariants(d)  # odd n: _spaceform_mc for MC too
         assert len(built) == before  # validated once, when built
         # the copy holds d's checked fields and passes the checks itself
         assert resolved == SpaceFormPairDescriptor(*resolved._values)
@@ -170,13 +170,22 @@ def test_resolve_builds_no_second_validated_descriptor(monkeypatch):
 
 
 def test_chain_collapses_for_larger_groups():
-    report = selfcoincidence_chain(descriptor(9, 5, 5, hom="yes", dz="yes"))
-    assert report.loose.truth is report.n_sharp_zero.truth
+    # (iii) <=> (iv) for group orders other than 2
+    for d in (descriptor(9, 5, 5, hom="yes", dz="yes"),
+              descriptor(9, 5, 3, hom="yes"),
+              descriptor(12, 7, 8, hom="yes")):
+        b = spaceform_pair_invariants(d)
+        assert b.mcc.value == b.n_sharp.value == 0
+        assert b.mc.value == 0
 
 
 def test_chain_needs_selfcoincidence():
-    with pytest.raises(DescriptorError):
-        selfcoincidence_chain(descriptor(9, 5, 3, hom="no"))
+    # a pair that is not homotopic takes the group order, and MC from
+    # Prop4.3, not from the chain
+    b = spaceform_pair_invariants(descriptor(9, 5, 3, hom="no"))
+    assert b.mcc.value == b.n_sharp.value == 3
+    assert b.mc.value is UNKNOWN
+    assert b.mc.trace == ("Prop4.3", "needs:in_psE_image")
 
 
 # -- Kervaire and Hopf cases --------------------------------------------------
@@ -230,22 +239,29 @@ def test_hopf_case_rejections():
 
 def test_spaceform_mc_special_case():
     # m = 4, n = 3: infinite for large groups, group order for order 2
-    v = spaceform_mc(descriptor(4, 3, 5, hom="no", in_psE_image="no"))
+    v = spaceform_pair_invariants(
+        descriptor(4, 3, 5, hom="no", in_psE_image="no")).mc
     assert v.value is INFINITE
-    v = spaceform_mc(descriptor(4, 3, 2, hom="no", in_psE_image="yes"))
+    assert v.trace == ("Prop4.3",)
+    v = spaceform_pair_invariants(
+        descriptor(4, 3, 2, hom="no", in_psE_image="yes")).mc
     assert v.value == 2
-    v = spaceform_mc(descriptor(4, 3, 5, hom="yes"))
-    assert v.value == 0
-    v = spaceform_mc(descriptor(4, 3, 5, hom="no"))
+    assert v.trace == ("Prop4.3",)
+    v = spaceform_pair_invariants(descriptor(4, 3, 5, hom="yes")).mc
+    assert v.value == 0  # MC = MCC for a selfcoincidence
+    v = spaceform_pair_invariants(descriptor(4, 3, 5, hom="no")).mc
     assert v.value is UNKNOWN
     assert "needs:in_psE_image" in v.trace
 
 
 def test_spaceform_mc_preconditions():
-    with pytest.raises(DescriptorError):
-        spaceform_mc(descriptor(10, 6, 2))  # even target dimension
-    with pytest.raises(DescriptorError):
-        spaceform_mc(descriptor(1, 3, 2))
+    # Prop4.3 decides MC for odd targets and m >= 2 only; elsewhere a pair
+    # that may not be homotopic keeps MC undecided
+    for d in (descriptor(10, 6, 2), descriptor(10, 6, 2, hom="no"),
+              descriptor(1, 3, 2)):
+        mc = spaceform_pair_invariants(d).mc
+        assert mc.value is UNKNOWN
+        assert mc.trace == ()
 
 
 # -- global invariants ----------------------------------------------------------

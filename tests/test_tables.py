@@ -166,3 +166,26 @@ def test_linter_catches_missing_citation():
 def test_linter_reports_broken_json():
     problems = lint_text("{not json")
     assert problems and "not valid JSON" in problems[0][1]
+
+
+def test_load_parses_the_file_once(monkeypatch):
+    raw = open(FactBase.bundled_path(), encoding="utf-8").read()
+    parsed = []
+    loads = json.loads
+
+    def counting_loads(s, *args, **kwargs):
+        parsed.append(s)
+        return loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    fb = FactBase.from_text(raw)
+    assert parsed == [raw]
+    assert fb.version == loads(raw)["version"]
+    assert fb.pinpoint("pi_10_S^6").is_trivial is True
+
+
+@pytest.mark.parametrize("raw", ["{not json", "[]", '{"version": ""}'])
+def test_load_raises_what_the_linter_reports(raw):
+    with pytest.raises(FactBaseError) as info:
+        FactBase.from_text(raw)
+    assert info.value.locations == lint_text(raw) != []

@@ -7,9 +7,7 @@ from coincalc import (
     TargetFamily,
     Truth,
     WeckenQuery,
-    coincidence_producing_criterion,
     fixed_point_wecken,
-    nielsen_value_set,
     nsharp_restrictions,
     overlap_disagreements,
     user_fact,
@@ -136,45 +134,6 @@ def test_general_targets_degrade_honestly():
     assert condition(6, 4, TargetFamily.GENERAL).is_yes()    # n in {2,4,8}
 
 
-# -- coincidence producing ----------------------------------------------------
-
-
-def test_coincidence_producing_all_yes():
-    report = coincidence_producing_criterion(
-        user_fact("yes"), user_fact("unknown"), user_fact("unknown"))
-    assert report.loose_by_small_deformation.is_yes()
-    assert report.loose.is_yes()
-    assert report.not_coincidence_producing.is_yes()
-    assert report.j_image_vanishes.is_yes()
-
-
-def test_coincidence_producing_injective_collapse():
-    report = coincidence_producing_criterion(
-        user_fact("no"), user_fact("yes"), user_fact("unknown"))
-    assert report.loose_by_small_deformation.is_no()
-    assert report.not_coincidence_producing.is_no()
-    assert report.loose.is_no()
-
-
-def test_coincidence_producing_gap():
-    # j not injective (sphere target), boundary nonzero but dies in the
-    # punctured target: not coincidence producing, looseness undecided
-    report = coincidence_producing_criterion(
-        user_fact("no"), user_fact("no"), user_fact("yes"))
-    assert report.not_coincidence_producing.is_yes()
-    assert report.loose_by_small_deformation.is_no()
-    assert report.loose.is_unknown()
-
-
-def test_coincidence_producing_contradiction():
-    with pytest.raises(DescriptorError):
-        coincidence_producing_criterion(
-            user_fact("yes"), user_fact("unknown"), user_fact("no"))
-    with pytest.raises(DescriptorError):
-        coincidence_producing_criterion(
-            user_fact("no"), user_fact("yes"), user_fact("yes"))
-
-
 # -- N# restrictions -----------------------------------------------------------
 
 
@@ -226,18 +185,7 @@ def test_restrictions_surface_case():
     assert restrictions(2, 3, pi1=1).is_no()        # m != 2 needs n >= 4
 
 
-# -- value sets and the fixed point dichotomy ------------------------------------
-
-
-def test_value_sets():
-    assert nielsen_value_set(5, user_fact("no")).values == (0, 5)
-    assert nielsen_value_set(2, user_fact("unknown")).values == (0, 1, 2)
-    assert nielsen_value_set(1, user_fact("yes")).values == (0, 1)
-    assert nielsen_value_set(1, user_fact("no")).values == (0, 1)
-    assert nielsen_value_set(INFINITE, user_fact("no")).values \
-        == (0, INFINITE)
-    with pytest.raises(DescriptorError):
-        nielsen_value_set(0, user_fact("no"))
+# -- the fixed point dichotomy -------------------------------------------------
 
 
 def test_fixed_point_dichotomy():
