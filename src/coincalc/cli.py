@@ -58,11 +58,14 @@ wecken = _Lazy("wecken")
 
 # bounds on a torus h1, which keep its cokernel order to about a second on
 # a 2-core host.  At the 32,000-digit cap a square 64x64 matrix takes one
-# elimination, 0.13-0.25 s.  A wide 63x64 one takes 0.13-0.2 s when random
-# and 0.03-0.05 s when each row carries its own 7-digit factor, which is
-# divided out.  The slowest are wide ones whose factors are hidden, L*D*B
-# with L unit lower-bidiagonal, D a diagonal of 7-digit factors and B of
-# entries in -2..2, whose cokernel order has about 420 digits: 0.7-0.9 s.
+# elimination, 0.13-0.25 s.  A diagonal or triangular one, permuted or not,
+# takes none: its singleton rows are peeled, and the order is the product
+# of its diagonal, in under 10 ms.  A wide 63x64 one takes 0.13-0.2 s when
+# random and 0.03-0.05 s when each row carries its own 7-digit factor,
+# which is divided out.  The slowest are wide ones whose factors are
+# hidden, L*D*B with L unit lower-bidiagonal, D a diagonal of 7-digit
+# factors and B of entries in -2..2, whose cokernel order has about 420
+# digits: 0.7-0.9 s.
 MAX_MATRIX_DIM = 64
 MAX_MATRIX_DIGITS = 32_000  # decimal digits of all entries together
 
@@ -328,6 +331,7 @@ _FIELD_SET = frozenset(_FIELD_NAMES)
 _VERDICT_CAP = 1024  # entries in _VERDICTS
 _VERDICT_CHARS = 512  # the longest verdict text kept
 _SMALL_INT = 100  # int values below this have their verdict text kept
+_SPLIT_BITS = 6_000  # about 1,800 digits: longer ints are written in pieces
 # the text of a verdict {"trace": [str, ...], "value": v} keyed on (line
 # prefix, v, trace), for a str or small-int v.  Traces are built from rule
 # ids, so answers share a few hundred keys; once full, the cache takes no
@@ -364,18 +368,35 @@ def _scalar(v) -> str:
         return _escape(v)
     if not isinstance(v, int) or isinstance(v, bool):
         return json.dumps(v)  # None, a bool, a float, or not JSON (TypeError)
-    try:
+    if v.bit_length() <= _SPLIT_BITS:
         return int.__repr__(v)
-    except ValueError:
-        # exact answers may run past CPython's int-to-str digit limit,
-        # which guards parsing untrusted input, not printing our own
-        # results: lift it for this conversion only
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return int.__repr__(v)
-        finally:
-            sys.set_int_max_str_digits(limit)
+    # CPython writes an int in time quadratic in its length, and refuses
+    # past 4,300 digits.  A longer one is split in halves by divmod with
+    # 10**(1024 * 2**j), squared up afresh on each call, and so are the
+    # halves, down to pieces of at most _SPLIT_BITS, within that limit
+    powers = [10 ** 1024]
+    while 2 * powers[-1].bit_length() - 2 < v.bit_length():
+        powers.append(powers[-1] * powers[-1])  # until |v| < powers[-1]**2
+    out = ["-"] if v < 0 else []
+    _write_digits(abs(v), powers, len(powers) - 1, 0, out)
+    return "".join(out)
+
+
+def _write_digits(n: int, powers: list[int], j: int, width: int,
+                  out: list[str]) -> None:
+    """Append the digits of 0 <= n < powers[j]**2 to out, zero-padded to
+    width, or with no leading zero when width is 0.  The low half of a
+    split by 10**k is padded to k digits."""
+    if n.bit_length() <= _SPLIT_BITS:
+        out.append(int.__repr__(n).zfill(width))
+        return
+    if not width:
+        while n < powers[j]:
+            j -= 1
+    high, low = divmod(n, powers[j])
+    half = 1024 << j  # digits of powers[j], less one
+    _write_digits(high, powers, j - 1, max(width - half, 0), out)
+    _write_digits(low, powers, j - 1, half, out)
 
 
 def _verdict(v, nl: str, fresh: dict) -> str | None:

@@ -4,10 +4,14 @@ torus query, invariant factors, cokernels and the Smith normal form.
 Everything runs on Python's arbitrary-precision integers; no intermediate
 value is allowed to overflow because none can.  One fraction-free (Bareiss)
 elimination, ``_eliminate``, on odd pivots where it can, serves both
-routes.  ``cokernel_order`` reads the order from it: INFINITE below full
-row rank, and for a square matrix |det|, its last pivot.  Only a wide
-matrix needs more, the gcd of its maximal minors: the product of its row
-contents and of the invariant factors of the rows divided by them.
+routes.  ``cokernel_order`` first peels singleton rows, those with one
+nonzero entry x: the order is |x| times that of the matrix without x's row
+and column, so diagonal and triangular matrices, permuted or not, take no
+elimination.  It reads the order of what is left from the elimination:
+INFINITE below full row rank, and for a square matrix |det|, its last
+pivot.  Only a wide matrix needs more, the gcd of its maximal minors: the
+product of its row contents and of the invariant factors of the rows
+divided by them.
 
 ``invariant_factors`` builds no transforms.  It divides out the content
 (the gcd of all entries) first; the elimination then yields |det| and a
@@ -32,12 +36,14 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from math import gcd, prod
+from operator import methodcaller
 from typing import NamedTuple, Sequence
 
 from .errors import DescriptorError
 from .verdict import INFINITE, ExtNat, Record, _set
 
 _INT_ONLY = frozenset({int})
+_count_zeros = methodcaller("count", 0)
 
 # how many steps back from its last one invariant_factors keeps the blocks
 # of its elimination, on which _smith_mod may run
@@ -417,24 +423,52 @@ def cokernel_order(a: IntMatrix) -> ExtNat:
     """The order of ``cokernel(a)``: INFINITE below full row rank, else the
     gcd of the maximal minors of ``a``.
 
-    A tall matrix has rank at most cols < rows.  A square one takes one
-    Bareiss elimination, whose last pivot is +-det.  A wide one multiplies
-    invariant factors, since no single minor gives the gcd of all of them,
-    but first divides each row i by its content c_i: every maximal minor
-    holds each row once, so the order is prod c_i times the quotient's, and
-    a zero row leaves the rank below full."""
+    A tall matrix has rank at most cols < rows.  Otherwise singleton rows
+    are peeled first, until none is left.  A row whose one nonzero entry x
+    sits in column j makes every maximal minor either 0, when it leaves out
+    column j, or +-x times a maximal minor of the matrix without that row
+    and column; so the order is |x| times the order of the rest.  A zero
+    row leaves the rank below full, and so does a second singleton in the
+    same column, which is zero once the first is peeled.
+
+    Of what is left, a square matrix takes one Bareiss elimination, whose
+    last pivot is +-det.  A wide one multiplies invariant factors, since no
+    single minor gives the gcd of all of them, but first divides each row i
+    by its content c_i, which is not 0 after the peel: every maximal minor
+    holds each row once, so the order is prod c_i times the quotient's."""
     if a.rows > a.cols:
         return INFINITE
-    rows = a.to_rows()
-    if a.rows == a.cols:
+    rows, scale = a.to_rows(), 1
+    # a singleton row holds a zero unless it is a 1x1 matrix: one scan in C
+    # passes a dense matrix, which has nothing to peel
+    peel = 0 in a.entries or a.cols == 1
+    while peel and rows and max(map(_count_zeros, rows)) >= len(rows[0]) - 1:
+        width = len(rows[0])
+        rest, peeled = [], {}
+        for row in rows:
+            zeros = row.count(0)
+            if zeros < width - 1:
+                rest.append(row)
+                continue
+            if zeros == width:
+                return INFINITE
+            j = next(j for j, x in enumerate(row) if x)
+            if j in peeled:
+                return INFINITE
+            peeled[j] = row[j]
+        scale *= abs(prod(peeled.values()))
+        rows = [[x for j, x in enumerate(row) if j not in peeled]
+                for row in rest]
+    if not rows:
+        return scale
+    r, c = len(rows), len(rows[0])
+    if r == c:
         _, prev, rank, _ = _eliminate(rows)
-        return abs(prev) if rank == a.rows else INFINITE
+        return scale * abs(prev) if rank == r else INFINITE
     contents = [gcd(*row) for row in rows]
-    if not all(contents):
-        return INFINITE
-    factors = invariant_factors(IntMatrix(a.rows, a.cols, tuple(
-        x // c for row, c in zip(rows, contents) for x in row)))
-    return (prod(contents) * prod(factors) if len(factors) == a.rows
+    factors = invariant_factors(IntMatrix(r, c, tuple(
+        x // g for row, g in zip(rows, contents) for x in row)))
+    return (scale * prod(contents) * prod(factors) if len(factors) == r
             else INFINITE)
 
 

@@ -10,8 +10,6 @@ import random
 import time
 from pathlib import Path
 
-import pytest
-
 from coincalc import (
     DescriptorError,
     INFINITE,
@@ -21,7 +19,6 @@ from coincalc import (
     SpaceFormPairDescriptor,
     SphereClassDescriptor,
     StiefelQuery,
-    TargetFamily,
     TorusPairDescriptor,
     UNKNOWN,
     WeckenQuery,

@@ -1,5 +1,6 @@
 import ast
 import json
+import random
 import re
 import subprocess
 import sys
@@ -234,8 +235,34 @@ BIG = 7 ** 6000  # 5,071 digits, past the int-to-str limit
 # newlines, non-ASCII and characters outside the basic plane
 TRICKY = ['"', "\\", "\n", "\r\t", "\x00\x1f", "≥ Ñ", "\u2028", "😀", ""]
 
+# digit counts about the sizes at which _dump splits a long int: its
+# ~1,800-digit threshold, its divisors 10**(1024 * 2**j) and CPython's
+# 4,300-digit int-to-str limit
+SPLIT_DIGITS = (1000, 1023, 1024, 1025, 1806, 1807, 2048, 2049, 4096, 4300,
+                4301, 8192, 16384, 32768, 40000)
+signs = st.sampled_from((1, -1))
+
+
+def _long_int(args):
+    """A random int of the given digit count, drawn from the seed."""
+    digits, seed = args
+    return random.Random(seed).randrange(10 ** (digits - 1), 10 ** digits)
+
+
+long_ints = st.tuples(st.integers(1000, 40_000), st.integers(0, 2 ** 32)).map(
+    _long_int)
+
 # built by map, since hypothesis would print a literal BIG in its own repr
-big_ints = st.sampled_from([1, -1, 0]).map(lambda s: s * BIG or 10 ** 4300)
+big_ints = st.one_of(
+    st.sampled_from([1, -1, 0]).map(lambda s: s * BIG or 10 ** 4300),
+    st.tuples(st.sampled_from(SPLIT_DIGITS), st.sampled_from((-1, 0, 1)),
+              signs).map(lambda t: t[2] * (10 ** t[0] + t[1])),
+    st.tuples(long_ints, signs).map(lambda t: t[0] * t[1]),
+    # a low half that starts with zeros, at each split
+    st.tuples(long_ints | st.integers(1, 10 ** 9),
+              st.sampled_from((1024, 2048, 4096, 8192)), signs).map(
+        lambda t: t[2] * (t[0] * 10 ** t[1] + 7)),
+)
 
 json_leaves = st.one_of(
     st.none(), st.booleans(), st.integers(), big_ints,
@@ -369,6 +396,21 @@ def test_dump_fast_paths_match_json_dumps(value):
     for wrapped in (value, as_invariants, [as_invariants]):
         assert _dump(wrapped) == reference_dump(wrapped)
         assert sys.get_int_max_str_digits() == limit
+
+
+def test_dump_leaves_the_digit_limit_alone(monkeypatch):
+    # a long answer is written in pieces within CPython's int-to-str limit:
+    # the process-wide setting is neither read past nor changed
+    value = _long_int((40_000, 18))
+    long_answer = answer({"mcc": verdict(value), "n": verdict(-value)})
+    values = (long_answer, [long_answer], {"values": [value, -value]})
+    want = [reference_dump(v) for v in values]
+
+    def refuse(limit):
+        raise AssertionError("the int-to-str digit limit was changed")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    assert [_dump(v) for v in values] == want
 
 
 def _call_at_depth(frames, fn, *args):

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -402,15 +404,74 @@ def order_matrices(draw, max_side=6):
     return IntMatrix.from_rows([[f * x for x in row] for row in rows])
 
 
+@st.composite
+def singleton_row_matrices(draw, max_side=6):
+    """Diagonal, lower- and upper-triangular matrices and wide ones whose
+    first rows are singletons, of 1- to 300-digit entries, with zeros drawn
+    on the diagonal too, and their rows and columns permuted: the shapes
+    cokernel_order peels, whole or in part."""
+    r = draw(st.integers(1, max_side))
+    c = draw(st.integers(r, max_side + 2))
+    shape = draw(st.sampled_from(("diagonal", "lower", "upper", "wide")))
+    singletons = draw(st.integers(0, r))
+    bound = 10 ** draw(st.sampled_from((1, 2, 300)))
+    entry = st.integers(-bound, bound)
+    rows = []
+    for i in range(r):
+        filled = {"diagonal": (), "lower": range(i),
+                  "upper": range(i + 1, c),
+                  "wide": () if i < singletons else range(c)}[shape]
+        row = [draw(entry) if j in filled else 0 for j in range(c)]
+        row[i] = draw(entry | st.just(0))
+        rows.append(row)
+    rows = [rows[i] for i in draw(st.permutations(range(r)))]
+    cols = draw(st.permutations(range(c)))
+    return IntMatrix.from_rows([[row[j] for j in cols] for row in rows])
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(
     order_matrices(),
     matrices(max_side=5).map(_with_dependent_row),
     chain_products(),
     udv_products(),
+    singleton_row_matrices(),
 ))
 def test_cokernel_order_is_the_cokernel_cardinality(a):
     assert cokernel_order(a) == cokernel(a).cardinality()
+
+
+def test_cokernel_order_peels_singleton_rows_without_elimination(
+        monkeypatch):
+    # the h1 of every golden torus query is diagonal, or zero, and so is a
+    # permuted one; a triangular matrix is peeled one row at a time
+    golden = json.loads((Path(__file__).parent / "data"
+                         / "golden_queries.json").read_text())
+    h1s = [q["payload"]["h1"] for q in golden if q["family"] == "torus"]
+    assert len(h1s) == 5
+    rng = random.Random(6)
+    lower = [[rng.randint(-10 ** 30, 10 ** 30) if j < i else
+              (i + 2 if j == i else 0) for j in range(6)] for i in range(6)]
+    shuffled = [row[::-1] for row in lower[::-1]]  # upper-triangular
+    calls = []
+
+    def spy(rows):
+        calls.append(rows)
+        return eliminate(rows)
+
+    eliminate = lattice._eliminate
+    monkeypatch.setattr(lattice, "_eliminate", spy)
+    assert [cokernel_order(IntMatrix.from_rows(h1)) for h1 in h1s] == [
+        6, 6, INFINITE, 3, 4]
+    assert [cokernel_order(IntMatrix.from_rows([row[::-1] for row in h1]))
+            for h1 in h1s] == [6, 6, INFINITE, 3, 4]
+    assert cokernel_order(IntMatrix.from_rows(lower)) == 5040
+    assert cokernel_order(IntMatrix.from_rows(shuffled)) == 5040
+    assert calls == []
+    # past the singleton row, a dense 2x2 block is eliminated
+    assert cokernel_order(IntMatrix.from_rows(
+        [[5, 0, 0], [7, 1, 2], [1, 3, 4]])) == 10
+    assert calls == [[[1, 2], [3, 4]]]
 
 
 def test_cokernel_order_of_square_and_tall_never_reaches_smith_mod(
