@@ -268,8 +268,9 @@ _FIELD_NAMES = tuple(key for key, _ in ALL_FIELDS)  # InvariantBundle's slots
 
 
 def run_query(query: dict) -> dict:
-    """One Query in, one Answer out.  Raises QueryError/DescriptorError on
-    bad payloads and ConsistencyError on internal rule clashes."""
+    """One Query in, one Answer out, with read-only entries (_Entry).
+    Raises QueryError/DescriptorError on bad payloads and ConsistencyError
+    on internal rule clashes."""
     if not isinstance(query, dict):
         raise QueryError("a query must be a JSON object")
     family = query.get("family")
@@ -285,8 +286,8 @@ def run_query(query: dict) -> dict:
     if family == "wecken" or family == "fixedpoint":
         name, fact = (_run_wecken_fact if family == "wecken"
                       else _run_fixedpoint_fact)(payload)
-        invariants = {name: {"value": fact.truth.value,
-                             "trace": [fact.rule] if fact.rule else []}}
+        invariants = {name: _entry(fact.truth.value,
+                                   (fact.rule,) if fact.rule else ())}
         warnings = []
     else:
         runner = {"torus": _run_torus, "sphere": _run_sphere,
@@ -297,12 +298,15 @@ def run_query(query: dict) -> dict:
         if violations:
             raise ConsistencyError(
                 f"emitted bundle violates the invariant chain: {violations}")
-        invariants = {}
+        # fields that hold one Verdict share its entry; every engine puts
+        # such fields next to each other
+        invariants, last = {}, None
         for name, v in zip(_FIELD_NAMES, bundle._values):
-            value = v.value
-            invariants[name] = {
-                "value": value if isinstance(value, int) else value.value,
-                "trace": list(v.trace)}
+            if v is not last:
+                last, value = v, v.value
+                entry = _entry(value if isinstance(value, int)
+                               else value.value, v.trace)
+            invariants[name] = entry
     return {"id": qid, "factbase_version": version,
             "invariants": invariants, "warnings": warnings}
 
@@ -325,18 +329,62 @@ def run_batch(queries: list) -> list[dict]:
     return answers
 
 
+def _refuse(self, *args, **kwargs):
+    raise TypeError("the verdict entries of an answer are read-only")
+
+
+class _Trace(list):
+    """The read-only trace of an _Entry; its copies are plain lists."""
+
+    __slots__ = ()
+    __init__ = __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+
+    def __reduce_ex__(self, protocol):
+        return list, (list(self),)
+
+
+class _Entry(dict):
+    """A read-only verdict {"value": ..., "trace": _Trace} of an answer; its
+    copies are plain.  A shared entry's ``texts`` map each template's line
+    prefix to its text; a one-off entry's are empty."""
+
+    __slots__ = ("texts",)
+    __init__ = __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce_ex__(self, protocol):
+        return dict, ({"value": self["value"], "trace": list(self["trace"])},)
+
+
+def _entry(value, trace: tuple) -> _Entry:
+    """The entry of value, a str or an int >= 0, and trace, a tuple of rule
+    ids.  Answers share a few hundred: _ENTRIES keeps the entry of a str or
+    an int below _SMALL_INT, with its texts, while it holds fewer than
+    _VERDICT_CAP (threads may each add one more) and the texts are short."""
+    small = type(value) is str or value < _SMALL_INT
+    entry = _ENTRIES.get((value, trace)) if small else None
+    if entry is None:
+        entry, listed = dict.__new__(_Entry), list.__new__(_Trace)
+        list.extend(listed, trace)
+        dict.update(entry, value=value, trace=listed)
+        entry.texts = {}
+        if small and len(_ENTRIES) < _VERDICT_CAP:
+            texts = {t.item: _text(value, trace, t.item)
+                     for t in (_SINGLE, _ITEM)}
+            if len(texts[_ITEM.item]) <= _VERDICT_CHARS:  # the longer one
+                entry.texts, _ENTRIES[value, trace] = texts, entry
+    return entry
+
+
 _escape = json.encoder.encode_basestring_ascii
 _STR_ONLY = frozenset({str})
 _FIELD_SET = frozenset(_FIELD_NAMES)
-_VERDICT_CAP = 1024  # entries in _VERDICTS
+_VERDICT_CAP = 1024  # entries in _ENTRIES
 _VERDICT_CHARS = 512  # the longest verdict text kept
-_SMALL_INT = 100  # int values below this have their verdict text kept
+_SMALL_INT = 100  # int values below this share their entries
 _SPLIT_BITS = 6_000  # about 1,800 digits: longer ints are written in pieces
-# the text of a verdict {"trace": [str, ...], "value": v} keyed on (line
-# prefix, v, trace), for a str or small-int v.  Traces are built from rule
-# ids, so answers share a few hundred keys; once full, the cache takes no
-# more entries (dumps in several threads may each add one more).
-_VERDICTS: dict[tuple, str] = {}
+_ENTRIES: dict[tuple, _Entry] = {}  # (value, trace) -> the shared entry
 
 
 class _Template:
@@ -399,11 +447,20 @@ def _write_digits(n: int, powers: list[int], j: int, width: int,
     _write_digits(low, powers, j - 1, half, out)
 
 
-def _verdict(v, nl: str, fresh: dict) -> str | None:
+def _text(value, trace, nl: str) -> str:
+    """The text of {"trace": trace, "value": value}, lines ending in nl."""
+    inner = nl + "  "
+    line = inner + "  "
+    return ("{" + inner + '"trace": '
+            + ("[" + line + ("," + line).join(map(_escape, trace))
+               + inner + "]" if trace else "[]")
+            + "," + inner + '"value": ' + _scalar(value) + nl + "}")
+
+
+def _verdict(v, nl: str) -> str | None:
     """The text of v, whose lines continue with nl, if v is a verdict
     {"trace": [str, ...], "value": str or int}; None otherwise.  The exact
-    type checks come before the cache: 1, True and 1.0 are equal keys.
-    A verdict not kept there is kept in fresh, for this dump only."""
+    type checks tell 1 from True and 1.0."""
     if type(v) is not dict or len(v) != 2:
         return None
     trace, value = v.get("trace"), v.get("value")
@@ -411,25 +468,10 @@ def _verdict(v, nl: str, fresh: dict) -> str | None:
     if (kind is not int and kind is not str or type(trace) is not list
             or not _STR_ONLY.issuperset(map(type, trace))):
         return None
-    key = (nl, value, tuple(trace))
-    text = _VERDICTS.get(key) or fresh.get(key)
-    if text is None:
-        inner = nl + "  "
-        line = inner + "  "
-        text = ("{" + inner + '"trace": '
-                + ("[" + line + ("," + line).join(map(_escape, trace))
-                   + inner + "]" if trace else "[]")
-                + "," + inner + '"value": ' + _scalar(value) + nl + "}")
-        if ((kind is str or 0 <= value < _SMALL_INT)
-                and len(_VERDICTS) < _VERDICT_CAP
-                and len(text) <= _VERDICT_CHARS):
-            _VERDICTS[key] = text
-        else:
-            fresh[key] = text
-    return text
+    return _text(value, trace, nl)
 
 
-def _answer(a, t: _Template, out: list, fresh: dict) -> bool:
+def _answer(a, t: _Template, out: list) -> bool:
     """If a has the shape run_query returns, append its text, laid out by
     t, to out and return True; otherwise leave out as it was and return
     False."""
@@ -440,18 +482,24 @@ def _answer(a, t: _Template, out: list, fresh: dict) -> bool:
     if (type(version) is not str or type(invariants) is not dict
             or type(warnings) is not list):
         return False
-    mark = len(out)
+    mark, written, item = len(out), {}, t.item
     out += (t.head, _escape(version), t.id,
             _escape(qid) if type(qid) is str else _write(qid, t.inner),
             t.invariants)
     fields = t.fields if invariants.keys() == _FIELD_SET else [
-        (name, ("," if i else "{") + t.item + _key(name) + ": ")
+        (name, ("," if i else "{") + item + _key(name) + ": ")
         for i, name in enumerate(sorted(invariants))]
     for name, head in fields:
-        text = _verdict(invariants[name], t.item, fresh)
-        if text is None:
-            del out[mark:]
-            return False
+        v = invariants[name]
+        if type(v) is _Entry:  # a one-off entry is written once an answer
+            text = v.texts.get(item) or written.get(id(v))
+            if text is None:
+                text = written[id(v)] = _text(v["value"], v["trace"], item)
+        else:
+            text = _verdict(v, item)
+            if text is None:
+                del out[mark:]
+                return False
         out += head, text
     out += (t.close if invariants else "{}", t.warnings,
             _write(warnings, t.inner) if warnings else "[]", t.end)
@@ -509,20 +557,20 @@ def _dump(obj) -> str:
 
     An answer of the shape run_query returns, alone or as an item of a
     list, is filled into the template of its indent: its id and fact-base
-    version are escaped, each verdict's text is read from ``_VERDICTS`` or
-    written once per dump (a torus answer repeats its |det| up to seven
-    times), and its warnings are written by ``_write``, which writes any
-    other value too, error answers and near misses included.
+    version are escaped, an entry's text is read from it or written once
+    per answer (a torus answer repeats its |det| up to seven times), a
+    verdict the caller built is checked by ``_verdict``, and its warnings
+    are written by ``_write``, which writes any other value too, error
+    answers and near misses included.
     """
     out: list[str] = []
-    fresh: dict[tuple, str] = {}
     if type(obj) is list and obj:
         for item in obj:
             out.append(",\n  " if out else "[\n  ")
-            if not _answer(item, _ITEM, out, fresh):
+            if not _answer(item, _ITEM, out):
                 out.append(_write(item, "\n  "))
         out.append("\n]")
-    elif not _answer(obj, _SINGLE, out, fresh):
+    elif not _answer(obj, _SINGLE, out):
         out.append(_write(obj, "\n"))
     out.append("\n")
     return "".join(out)

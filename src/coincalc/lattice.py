@@ -439,9 +439,9 @@ def cokernel_order(a: IntMatrix) -> ExtNat:
     if a.rows > a.cols:
         return INFINITE
     rows, scale = a.to_rows(), 1
-    # a singleton row holds a zero unless it is a 1x1 matrix: one scan in C
-    # passes a dense matrix, which has nothing to peel
-    peel = 0 in a.entries or a.cols == 1
+    # a singleton row holds cols - 1 zeros: one count in C passes a matrix
+    # with fewer, which has nothing to peel
+    peel = a.entries.count(0) >= a.cols - 1
     while peel and rows and max(map(_count_zeros, rows)) >= len(rows[0]) - 1:
         width = len(rows[0])
         rest, peeled = [], {}

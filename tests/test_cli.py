@@ -446,41 +446,176 @@ def test_dump_raises_as_json_dumps_does():
 
 def test_dump_caches_stay_bounded(monkeypatch):
     from coincalc import cli
-    monkeypatch.setattr(cli, "_VERDICTS", {})
-    stiefel = run_query({"id": "x", "family": "stiefel",
-                         "payload": {"r": 7, "k": 3}})
-    _dump(stiefel)
-    _dump([stiefel])
-    # an answer's verdicts are kept, at the line prefix of each template
-    assert {key[0] for key in cli._VERDICTS} == {"\n    ", "\n      "}
-    cli._VERDICTS.clear()
-    _dump({**stiefel, "id": 1})  # whatever its id holds
-    assert {key[0] for key in cli._VERDICTS} == {"\n    "}
+    monkeypatch.setattr(cli, "_ENTRIES", {})
+    query = {"id": "x", "family": "stiefel", "payload": {"r": 7, "k": 3}}
+    stiefel = run_query(query)
+    # an answer's entries are shared, each with its text at the line prefix
+    # of each template, and the next identical answer holds the same ones
+    entries = list(stiefel["invariants"].values())
+    assert all(cli._ENTRIES[e["value"], tuple(e["trace"])] is e
+               for e in entries)
+    assert all(set(e.texts) == {"\n    ", "\n      "} for e in entries)
+    assert all(e is f for e, f in zip(
+        entries, run_query(query)["invariants"].values()))
+    kept = len(cli._ENTRIES)
+    for value in (stiefel, [stiefel], {**stiefel, "id": 1},
+                  json.loads(_dump(stiefel))):
+        _dump(value)  # dumps add no entry, whatever the id holds
+    assert len(cli._ENTRIES) == kept
 
     limit = sys.get_int_max_str_digits()
     for i in range(3000):
-        fresh = 10 ** 4400 + i if i % 100 == 0 else 10 ** 30 + i
-        trace = [f"Thm{i}", "x" * (i % 600)]
-        deep = nested(10, verdict(1, trace))
-        invariants = {key: verdict(fresh if j else i % 150, trace)
-                      for j, key in enumerate(FIELDS)}
+        big = 10 ** 4400 + i if i % 100 == 0 else 10 ** 30 + i
+        trace = (f"Thm{i}", "x" * (i % 600))
+        made = [cli._entry(v, trace) for v in (i % 150, big, f"v{i % 7}")]
+        deep = nested(10, made[0])
+        invariants = {key: made[j % 3] for j, key in enumerate(FIELDS)}
         value = answer(invariants, qid=deep if i % 10 == 0 else i)
-        _dump(value if i % 2 else [value])
+        assert _dump(value if i % 2 else [value]) == reference_dump(
+            value if i % 2 else [value])
         assert sys.get_int_max_str_digits() == limit
+        assert made[1].texts == {}  # a one-off entry keeps no text
     with pytest.raises(TypeError):
         _dump(answer({}, qid=object()))
     assert sys.get_int_max_str_digits() == limit
 
-    assert len(cli._VERDICTS) == cli._VERDICT_CAP  # filled, not past
-    assert all(len(text) <= cli._VERDICT_CHARS
-               for text in cli._VERDICTS.values())
-    # keyed on a template's line prefix, a str or small-int value, never a
-    # per-query one, and a trace of strings
-    for nl, value, trace in cli._VERDICTS:
-        assert nl in ("\n    ", "\n      ")
+    assert len(cli._ENTRIES) == cli._VERDICT_CAP  # filled, not past
+    # keyed on a str or small-int value, never a per-query one, and a trace
+    # of strings; each entry keeps its two texts, none of them long
+    for (value, trace), entry in cli._ENTRIES.items():
         assert type(value) is str or (type(value) is int
                                       and 0 <= value < cli._SMALL_INT)
         assert type(trace) is tuple and all(type(x) is str for x in trace)
+        assert entry == {"value": value, "trace": list(trace)}
+        assert set(entry.texts) == {"\n    ", "\n      "}
+        assert all(len(text) <= cli._VERDICT_CHARS
+                   for text in entry.texts.values())
+    # a value of _SMALL_INT or more is never shared, not even before the
+    # cache is full
+    cli._ENTRIES.clear()
+    one_off = [cli._entry(cli._SMALL_INT, ("Thm1.8",)) for _ in range(2)]
+    assert one_off[0] is not one_off[1] and not cli._ENTRIES
+
+
+TORUS_BIG = {"id": "t", "family": "torus",
+             "payload": {"m": 2, "n": 2, "h1": [[10 ** 40, 0], [0, 7]],
+                         "source_is_torus": True}}
+SPHERE_BIG = {"id": "s", "family": "sphere",
+              "payload": {"m": 1, "n": 1, "degrees": [10 ** 40, 3]}}
+WECKEN = {"id": "w", "family": "wecken", "payload": {"m": 3, "n": 2}}
+
+
+def _plain(value) -> bool:
+    """True if every dict and list in value is a plain one."""
+    if isinstance(value, dict):
+        return type(value) is dict and all(map(_plain, value.values()))
+    if isinstance(value, list):
+        return type(value) is list and all(map(_plain, value))
+    return True
+
+
+ENTRY_MUTATIONS = [
+    ("__setitem__", ("value", 7)), ("__delitem__", ("value",)),
+    ("__ior__", ({"x": 1},)), ("__init__", ({"x": 1},)), ("clear", ()),
+    ("pop", ("value",)), ("popitem", ()), ("setdefault", ("x", 1)),
+    ("update", ({"x": 1},)),
+]
+TRACE_MUTATIONS = [
+    ("__setitem__", (0, "x")), ("__setitem__", (slice(None), [])),
+    ("__delitem__", (0,)), ("__delitem__", (slice(None),)),
+    ("__iadd__", (["x"],)), ("__imul__", (2,)), ("__init__", (["x"],)),
+    ("append", ("x",)), ("extend", (["x"],)), ("insert", (0, "x")),
+    ("pop", ()), ("remove", ("Thm1.8",)), ("clear", ()), ("sort", ()),
+    ("reverse", ()),
+]
+
+
+def test_answers_are_read_only():
+    import copy
+    import pickle
+    for query in (TORUS_BIG, SPHERE_BIG, WECKEN,
+                  {**TORUS_BIG, "payload": {**TORUS_BIG["payload"],
+                                            "h1": [[2, 0], [0, 3]]}}):
+        answer = run_query(query)
+        want = json.loads(_dump(answer))
+        assert answer == want
+        entry = next(iter(answer["invariants"].values()))
+        trace = entry["trace"]
+        for obj, mutations in ((entry, ENTRY_MUTATIONS),
+                               (trace, TRACE_MUTATIONS)):
+            for method, args in mutations:
+                with pytest.raises(TypeError):
+                    getattr(obj, method)(*args)
+        with pytest.raises(TypeError):
+            entry["value"] = 7
+        with pytest.raises(TypeError):
+            entry |= {"x": 1}
+        with pytest.raises(TypeError):
+            trace += ["x"]
+        with pytest.raises(TypeError):
+            trace *= 2
+        with pytest.raises(TypeError):
+            del trace[:]
+        assert answer == want and json.loads(_dump(answer)) == want
+
+        copies = [copy.copy(entry), copy.deepcopy(entry),
+                  copy.copy(trace), copy.deepcopy(trace),
+                  copy.deepcopy(answer)]
+        copies += [pickle.loads(pickle.dumps(obj, protocol))
+                   for obj in (entry, trace, answer)
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in copies:
+            assert type(copied) in (dict, list) and _plain(copied)
+            assert copied in (entry, trace, answer)
+        # a mutated copy leaves the next identical answer unchanged
+        for copied in copies:
+            if type(copied) is list:
+                copied.append("x")
+                continue
+            for e in copied.get("invariants", {"": copied}).values():
+                e["value"] = 99
+                e["trace"].append("x")
+        again = run_query(query)
+        assert again == want and json.loads(_dump(again)) == want
+
+
+def test_fields_holding_one_verdict_share_its_entry(monkeypatch):
+    # and a one-off entry, of a value past _SMALL_INT, is written once per
+    # answer and keeps no text after it
+    from itertools import combinations
+    from coincalc import cli
+    queries = json.loads((DATA / "golden_queries.json").read_text())
+    for query in queries + [TORUS_BIG, SPHERE_BIG]:
+        family = query["family"]
+        if family in ("wecken", "fixedpoint"):
+            continue
+        bundle, _, _ = getattr(cli, f"_run_{family}")(query["payload"])
+        entries = run_query(query)["invariants"]
+        for (a, v), (b, w) in combinations(zip(FIELDS, bundle._values), 2):
+            if v is w:
+                assert entries[a] is entries[b], (query["id"], a, b)
+            if entries[a] is entries[b]:
+                assert v == w, (query["id"], a, b)
+
+    written = []
+    scalar = cli._scalar
+
+    def spy(value):
+        written.append(value)
+        return scalar(value)
+
+    monkeypatch.setattr(cli, "_scalar", spy)
+    for query, distinct in ((TORUS_BIG, 1), (SPHERE_BIG, 4)):
+        answer = run_query(query)
+        one_offs = {id(e): e for e in answer["invariants"].values()
+                    if e["value"] >= cli._SMALL_INT}
+        assert len(one_offs) == distinct
+        for value in (answer, [answer, answer]):
+            written.clear()
+            assert _dump(value) == reference_dump(value)
+            big = [x for x in written if x >= cli._SMALL_INT]
+            assert len(big) == distinct * (1 if value is answer else 2)
+            assert all(e.texts == {} for e in one_offs.values())
 
 
 @pytest.mark.parametrize("rows, m, n", [
@@ -672,6 +807,23 @@ def test_golden_corpus_bytes():
     queries = json.loads((DATA / "golden_queries.json").read_text())
     expected = (DATA / "golden_answers.json").read_text()
     assert _dump(run_batch(queries)) == expected
+
+
+def test_golden_corpus_bytes_without_sharing(monkeypatch):
+    # the bytes do not depend on the entry cache: with none shared, every
+    # entry is one-off and writes its own text
+    from coincalc import cli
+    monkeypatch.setattr(cli, "_ENTRIES", {})
+    monkeypatch.setattr(cli, "_VERDICT_CAP", 0)
+    queries = json.loads((DATA / "golden_queries.json").read_text())
+    expected = (DATA / "golden_answers.json").read_text()
+    answers = run_batch(queries)
+    assert _dump(answers) == expected
+    assert [_dump(a) for a in answers] == [
+        reference_dump(a) for a in json.loads(expected)]
+    assert cli._ENTRIES == {}
+    assert all(e.texts == {} for a in answers
+               for e in a["invariants"].values())
 
 
 def test_golden_answers_one_at_a_time():

@@ -475,6 +475,27 @@ def test_cokernel_order_peels_singleton_rows_without_elimination(
     assert calls == [[[1, 2], [3, 4]]]
 
 
+def test_cokernel_order_counts_no_zeros_of_a_matrix_without_singletons(
+        monkeypatch):
+    # a singleton row of a 3x3 matrix holds two zeros, so one with a single
+    # zero has none, and no row's zeros are counted
+    calls = []
+    count = lattice._count_zeros
+
+    def spy(row):
+        calls.append(row)
+        return count(row)
+
+    monkeypatch.setattr(lattice, "_count_zeros", spy)
+    assert cokernel_order(IntMatrix.from_rows(
+        [[2, 0, 1], [1, 3, 1], [1, 1, 4]])) == 20
+    assert calls == []
+    # two zeros in a row make it a singleton, which is peeled
+    assert cokernel_order(IntMatrix.from_rows(
+        [[2, 0, 0], [1, 3, 1], [1, 1, 4]])) == 22
+    assert calls
+
+
 def test_cokernel_order_of_square_and_tall_never_reaches_smith_mod(
         monkeypatch):
     rng = random.Random(64)

@@ -151,6 +151,7 @@ def test_answers_of_every_family_are_written_as_json_dumps_writes_them(
     for answer in answers + [answers]:
         assert cli._dump(answer) == json.dumps(
             answer, indent=2, sort_keys=True) + "\n"
+        assert json.loads(cli._dump(answer)) == answer
 
 
 def _mul(a, b):
