@@ -491,7 +491,7 @@ def _answer(a, t: _Template, out: list) -> bool:
         for i, name in enumerate(sorted(invariants))]
     for name, head in fields:
         v = invariants[name]
-        if type(v) is _Entry:  # a one-off entry is written once an answer
+        if type(v) is _Entry:  # a one-off entry is written once per answer
             text = v.texts.get(item) or written.get(id(v))
             if text is None:
                 text = written[id(v)] = _text(v["value"], v["trace"], item)
