@@ -10,8 +10,8 @@ from coincalc import (
     IntMatrix,
     TorusPairDescriptor,
     circle_target_mcc,
-    cokernel,
     cokernel_order,
+    invariant_factors,
     smith_normal_form,
     torus_invariants,
     user_fact,
@@ -33,8 +33,11 @@ print("A pair of selfmaps of the 2-torus whose difference acts as "
       "diag(2, 3) on H1.")
 h1 = IntMatrix.diagonal([2, 3])
 snf = smith_normal_form(h1)
+factors = invariant_factors(h1)
+torsion = tuple(d for d in factors if d >= 2)
+free_rank = h1.rows - len(factors)
 print(f"Smith divisors of the difference matrix: {snf.divisors}; "
-      f"cokernel {cokernel(h1)}.")
+      f"cokernel torsion {torsion}, free rank {free_rank}.")
 print(f"The lattice index {cokernel_order(h1)} is every Nielsen number "
       "at once:")
 show("T^2 -> T^2, diag(2, 3)", torus_invariants(
@@ -42,8 +45,8 @@ show("T^2 -> T^2, diag(2, 3)", torus_invariants(
 
 # the cokernel's invariant factors, computed without transforms, against
 # the transforms' diagonal
-torsion = tuple(d for d in snf.divisors if d >= 2)
-assert cokernel(h1).torsion == torsion
+assert factors == snf.divisors
+assert torsion == tuple(d for d in snf.divisors if d >= 2)
 print("\nThe cokernel's torsion", torsion, "is the Smith divisors past 1.")
 
 print("\nIn positive codimension the minimum number of *points* blows up "

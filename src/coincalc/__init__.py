@@ -11,8 +11,11 @@ The public names below are the descriptor records and engines that
 answers run, and library functions that no answer calls: the Smith normal
 form, the Grassmann Euler characteristic, the Wecken overlap scan, and
 the criteria whose rule ids docs/rules.md lists as emitted by library
-functions only.  tests/test_rule_coverage.py pins which public names no
-query reaches.  Each name is imported on its first use.
+functions only.  The cokernel of an integer matrix has no object of its
+own: ``cokernel_order`` gives its size and ``invariant_factors`` its
+torsion (the factors past 1) and free rank (rows less the factor count).
+tests/test_rule_coverage.py pins which public names no query reaches.
+Each name is imported on its first use.
 """
 
 from importlib import import_module
@@ -26,9 +29,8 @@ _SUBMODULE = {
     for module, names in (
         ("errors", ("CoincalcError", "ConsistencyError", "DescriptorError",
                     "FactBaseError")),
-        ("lattice", ("IntMatrix", "FGAbelianGroup", "SmithNormalForm",
-                     "smith_normal_form", "cokernel", "cokernel_order",
-                     "invariant_factors")),
+        ("lattice", ("IntMatrix", "SmithNormalForm", "smith_normal_form",
+                     "cokernel_order", "invariant_factors")),
         ("verdict", ("Fact", "Truth", "Verdict", "InvariantBundle",
                      "user_fact", "validate_bundle", "INFINITE", "UNKNOWN")),
         ("tables", ("FactBase", "KervaireStatus", "get_factbase",

@@ -378,7 +378,6 @@ def _entry(value, trace: tuple) -> _Entry:
 
 
 _escape = json.encoder.encode_basestring_ascii
-_STR_ONLY = frozenset({str})
 _FIELD_SET = frozenset(_FIELD_NAMES)
 _VERDICT_CAP = 1024  # entries in _ENTRIES
 _VERDICT_CHARS = 512  # the longest verdict text kept
@@ -457,24 +456,10 @@ def _text(value, trace, nl: str) -> str:
             + "," + inner + '"value": ' + _scalar(value) + nl + "}")
 
 
-def _verdict(v, nl: str) -> str | None:
-    """The text of v, whose lines continue with nl, if v is a verdict
-    {"trace": [str, ...], "value": str or int}; None otherwise.  The exact
-    type checks tell 1 from True and 1.0."""
-    if type(v) is not dict or len(v) != 2:
-        return None
-    trace, value = v.get("trace"), v.get("value")
-    kind = type(value)
-    if (kind is not int and kind is not str or type(trace) is not list
-            or not _STR_ONLY.issuperset(map(type, trace))):
-        return None
-    return _text(value, trace, nl)
-
-
 def _answer(a, t: _Template, out: list) -> bool:
-    """If a has the shape run_query returns, append its text, laid out by
-    t, to out and return True; otherwise leave out as it was and return
-    False."""
+    """If a has the shape run_query returns and every invariant is an
+    _Entry, append its text, laid out by t, to out and return True;
+    otherwise leave out as it was and return False."""
     if type(a) is not dict or len(a) != 4 or "id" not in a:
         return False
     version, qid = a.get("factbase_version"), a.get("id")
@@ -491,15 +476,13 @@ def _answer(a, t: _Template, out: list) -> bool:
         for i, name in enumerate(sorted(invariants))]
     for name, head in fields:
         v = invariants[name]
-        if type(v) is _Entry:  # a one-off entry is written once per answer
-            text = v.texts.get(item) or written.get(id(v))
-            if text is None:
-                text = written[id(v)] = _text(v["value"], v["trace"], item)
-        else:
-            text = _verdict(v, item)
-            if text is None:
-                del out[mark:]
-                return False
+        if type(v) is not _Entry:
+            del out[mark:]
+            return False
+        # a one-off entry is written once per answer
+        text = v.texts.get(item) or written.get(id(v))
+        if text is None:
+            text = written[id(v)] = _text(v["value"], v["trace"], item)
         out += head, text
     out += (t.close if invariants else "{}", t.warnings,
             _write(warnings, t.inner) if warnings else "[]", t.end)
@@ -555,13 +538,13 @@ def _key(key) -> str:
 def _dump(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
-    An answer of the shape run_query returns, alone or as an item of a
-    list, is filled into the template of its indent: its id and fact-base
-    version are escaped, an entry's text is read from it or written once
-    per answer (a torus answer repeats its |det| up to seven times), a
-    verdict the caller built is checked by ``_verdict``, and its warnings
-    are written by ``_write``, which writes any other value too, error
-    answers and near misses included.
+    An answer of run_query, alone or as an item of a list, is filled into
+    the template of its indent: its id and fact-base version are escaped,
+    an entry's text is read from it or written once per answer (a torus
+    answer repeats its |det| up to seven times), and its warnings are
+    written by ``_write``.  ``_write`` writes everything else: error
+    answers, near misses, and answers whose verdicts are plain dicts, such
+    as a caller's or those of ``json.loads`` of earlier output.
     """
     out: list[str] = []
     if type(obj) is list and obj:

@@ -1,5 +1,5 @@
 """Exact integer linear algebra: the cokernel order, which answers every
-torus query, invariant factors, cokernels and the Smith normal form.
+torus query, invariant factors and the Smith normal form.
 
 Everything runs on Python's arbitrary-precision integers; no intermediate
 value is allowed to overflow because none can.  One fraction-free (Bareiss)
@@ -20,9 +20,9 @@ bounds a Smith reduction modulo g (``_smith_mod``), whose entries never
 outgrow it.  By Sylvester's identity each block of that elimination is its
 pivot minor times a Schur complement, so the reduction runs on the latest
 block of the last few whose pivot minor is prime to g, and on the whole
-matrix only when none is.  ``cokernel`` reads only those factors and is
-library API; ``invariant_factors`` is too, and serves the wide matrices of
-``cokernel_order``.
+matrix only when none is.  ``invariant_factors`` is library API and
+serves the wide matrices of ``cokernel_order``; the cokernel of A is the
+torsion of its factors past 1 plus a free part of rank rows - len(factors).
 
 ``smith_normal_form`` runs the gcd-pivot elimination ``_reduce`` with the
 U and V transforms, so the factorization D = U * A * V is returned and can
@@ -111,37 +111,6 @@ class IntMatrix(Record):
     def to_rows(self) -> list[list[int]]:
         return [list(self.entries[i * self.cols:(i + 1) * self.cols])
                 for i in range(self.rows)]
-
-
-class FGAbelianGroup(Record):
-    """Finitely generated abelian group in invariant-factor form.
-
-    torsion is the chain d_1 | d_2 | ... with every d_i >= 2; the group is
-    Z/d_1 + ... + Z/d_k + Z^free_rank.
-    """
-
-    __slots__ = ("torsion", "free_rank")
-
-    def __init__(self, torsion: tuple[int, ...] = (), free_rank: int = 0):
-        _set(self, "torsion", torsion)
-        _set(self, "free_rank", free_rank)
-        if free_rank < 0:
-            raise DescriptorError("free rank must be nonnegative")
-        previous = None
-        for d in torsion:
-            _check_int(d)
-            if d < 2:
-                raise DescriptorError("torsion coefficients must be >= 2")
-            if previous is not None and d % previous:
-                raise DescriptorError(
-                    f"torsion chain broken: {previous} does not divide {d}"
-                )
-            previous = d
-
-    def cardinality(self) -> ExtNat:
-        if self.free_rank:
-            return INFINITE
-        return prod(self.torsion)
 
 
 class SmithNormalForm(NamedTuple):
@@ -420,8 +389,9 @@ def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
 
 
 def cokernel_order(a: IntMatrix) -> ExtNat:
-    """The order of ``cokernel(a)``: INFINITE below full row rank, else the
-    gcd of the maximal minors of ``a``.
+    """The order of the cokernel of ``a``, Z^rows modulo its column
+    lattice: INFINITE below full row rank, else the gcd of the maximal
+    minors of ``a``.
 
     A tall matrix has rank at most cols < rows.  Otherwise singleton rows
     are peeled first, until none is left.  A row whose one nonzero entry x
@@ -470,13 +440,4 @@ def cokernel_order(a: IntMatrix) -> ExtNat:
         x // g for row, g in zip(rows, contents) for x in row)))
     return (scale * prod(contents) * prod(factors) if len(factors) == r
             else INFINITE)
-
-
-def cokernel(a: IntMatrix) -> FGAbelianGroup:
-    """Z^rows modulo the column lattice of ``a``, in invariant-factor form."""
-    divisors = invariant_factors(a)
-    return FGAbelianGroup(
-        torsion=tuple(d for d in divisors if d >= 2),
-        free_rank=a.rows - len(divisors),
-    )
 

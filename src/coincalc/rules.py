@@ -2,7 +2,8 @@
 
 Every Verdict trace and every derived Fact's rule must be an identifier
 registered here.  The vocabulary is closed: adding a rule means
-adding it to REGISTRY *and* to docs/rules.md (a test cross-checks the two).
+adding it to REGISTRY *and* to docs/rules.md, whose table states each rule
+in the sentence given here (a test cross-checks ids and sentences).
 
 Identifiers of the form ``needs:<field>`` annotate Unknown results with the
 descriptor field whose value would decide them.

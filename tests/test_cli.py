@@ -5,13 +5,14 @@ import re
 import subprocess
 import sys
 import textwrap
+from math import prod
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coincalc import INFINITE, IntMatrix, cokernel
+from coincalc import INFINITE, IntMatrix, invariant_factors
 from coincalc.cli import (
     QueryError,
     _build_parser,
@@ -689,11 +690,16 @@ def test_oriented_target_must_be_boolean():
                                        "oriented_target": "no"}})
 
 
+def _cardinality(a):
+    """The size of Z^rows modulo the column lattice of ``a``."""
+    factors = invariant_factors(a)
+    return INFINITE if len(factors) < a.rows else prod(factors)
+
+
 def test_general_source_bound_chain_shows_the_det():
     for rows, det in (([[2, 0], [0, 3]], 6), ([[2, 4, 6], [0, 3, 9]], 6),
                       ([[4, 6], [2, 3]], 0), ([[0, 0], [0, 0]], 0)):
-        assert cokernel(IntMatrix.from_rows(rows)).cardinality() \
-            == (det or INFINITE)
+        assert _cardinality(IntMatrix.from_rows(rows)) == (det or INFINITE)
         answer = run_query({"id": "g", "family": "torus", "payload": {
             "m": 4, "n": 2, "h1": rows, "source_is_torus": False}})
         assert answer["warnings"] == [

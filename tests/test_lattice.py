@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from coincalc import (
     DescriptorError,
-    FGAbelianGroup,
     INFINITE,
     IntMatrix,
-    cokernel,
     cokernel_order,
     invariant_factors,
     smith_normal_form,
@@ -25,6 +23,18 @@ from oracles import column, cokernel_bruteforce_oracle, det_cofactor, mul, neg
 
 def _zero(rows, cols):
     return IntMatrix(rows, cols, (0,) * (rows * cols))
+
+
+def _cokernel(a):
+    """The torsion (the invariant factors past 1) and the free rank of
+    Z^rows modulo the column lattice of ``a``."""
+    factors = invariant_factors(a)
+    return tuple(d for d in factors if d >= 2), a.rows - len(factors)
+
+
+def _cardinality(a):
+    torsion, free_rank = _cokernel(a)
+    return INFINITE if free_rank else math.prod(torsion)
 
 
 def matrices(max_side=4, max_entry=9):
@@ -120,7 +130,7 @@ def test_snf_arbitrary_precision():
     a = IntMatrix.from_rows([[2 * big, 3 * big + 1], [0, 5 * big]])
     snf = smith_normal_form(a)
     assert mul(snf.u, a, snf.v).to_rows() == snf.d.to_rows()
-    assert cokernel(a).cardinality() == abs(2 * big * 5 * big)
+    assert _cardinality(a) == abs(2 * big * 5 * big)
 
 
 @settings(max_examples=200, deadline=None)
@@ -381,12 +391,12 @@ def test_invariant_factors_dense_thousand_digits():
 
 def test_abs_det_examples():
     # a lattice of rank below the row count has an infinite cokernel
-    assert cokernel(_zero(2, 2)).cardinality() is INFINITE
-    assert cokernel(IntMatrix.diagonal([2, 3])).cardinality() == 6
-    assert cokernel(IntMatrix.from_rows([[1, 1], [0, 2]])).cardinality() == 2
+    assert _cardinality(_zero(2, 2)) is INFINITE
+    assert _cardinality(IntMatrix.diagonal([2, 3])) == 6
+    assert _cardinality(IntMatrix.from_rows([[1, 1], [0, 2]])) == 2
     # rank-deficient wide matrix
-    assert cokernel(IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]])) \
-        .cardinality() is INFINITE
+    assert _cardinality(
+        IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]])) is INFINITE
 
 
 @st.composite
@@ -438,7 +448,7 @@ def singleton_row_matrices(draw, max_side=6):
     singleton_row_matrices(),
 ))
 def test_cokernel_order_is_the_cokernel_cardinality(a):
-    assert cokernel_order(a) == cokernel(a).cardinality()
+    assert cokernel_order(a) == _cardinality(a)
 
 
 def test_cokernel_order_peels_singleton_rows_without_elimination(
@@ -518,7 +528,7 @@ def test_cokernel_order_of_square_and_tall_never_reaches_smith_mod(
     assert calls == []
     # the same matrices do reach it through invariant_factors
     for a in square[:4] + tall:
-        assert cokernel(a).cardinality() == cokernel_order(a)
+        assert _cardinality(a) == cokernel_order(a)
     assert len(calls) >= 4
 
 
@@ -585,27 +595,27 @@ def test_abs_det_invariant_under_unimodular_column_changes():
         c = rng.randint(1, 4)
         a = IntMatrix.from_rows(
             [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)])
-        base = cokernel(a).cardinality()
+        base = _cardinality(a)
         v = _random_unimodular(rng, c)
         assert abs(det_cofactor(v)) == 1
-        assert cokernel(mul(a, v)).cardinality() == base
+        assert _cardinality(mul(a, v)) == base
         # column permutation and sign changes are unimodular too
         perm = list(range(c))
         rng.shuffle(perm)
         signs = [rng.choice([1, -1]) for _ in range(c)]
         rows = [[signs[j] * row[perm[j]] for j in range(c)]
                 for row in a.to_rows()]
-        assert cokernel(IntMatrix.from_rows(rows)).cardinality() == base
+        assert _cardinality(IntMatrix.from_rows(rows)) == base
 
 
 # -- cokernel ----------------------------------------------------------------
 
 
 def test_cokernel_examples():
-    assert cokernel(IntMatrix.identity(3)) == FGAbelianGroup()
-    assert cokernel(IntMatrix.diagonal([2, 3])) == FGAbelianGroup(torsion=(6,))
-    assert cokernel(IntMatrix.from_rows([[2, 3]])) == FGAbelianGroup()
-    assert cokernel(_zero(2, 1)) == FGAbelianGroup(free_rank=2)
+    assert _cokernel(IntMatrix.identity(3)) == ((), 0)
+    assert _cokernel(IntMatrix.diagonal([2, 3])) == ((6,), 0)
+    assert _cokernel(IntMatrix.from_rows([[2, 3]])) == ((), 0)
+    assert _cokernel(_zero(2, 1)) == ((), 2)
 
 
 def test_cokernel_cardinality_matches_abs_det():
@@ -620,22 +630,11 @@ def test_cokernel_cardinality_matches_abs_det():
             det_cofactor(IntMatrix.from_rows(
                 [[row[j] for j in cols] for row in a.to_rows()]))
             for cols in itertools.combinations(range(c), r)))
-        card = cokernel(a).cardinality()
+        card = _cardinality(a)
         if det == 0:
             assert card is INFINITE
         else:
             assert card == det
-
-
-def test_group_invariants():
-    with pytest.raises(DescriptorError):
-        FGAbelianGroup(torsion=(1,))
-    with pytest.raises(DescriptorError):
-        FGAbelianGroup(torsion=(4, 6))  # 4 does not divide 6
-    with pytest.raises(DescriptorError):
-        FGAbelianGroup(free_rank=-1)
-    assert FGAbelianGroup(torsion=(2, 4)).cardinality() == 8
-    assert FGAbelianGroup(free_rank=1).cardinality() is INFINITE
 
 
 # -- brute-force oracle ------------------------------------------------------
@@ -660,11 +659,11 @@ def test_oracle_rejects_oversize():
 def test_oracle_agrees_with_cokernel_exhaustive_2x2():
     for entries in itertools.product(range(-2, 3), repeat=4):
         a = IntMatrix(2, 2, entries)
-        card = cokernel(a).cardinality()
+        card = _cardinality(a)
         assert cokernel_bruteforce_oracle(a, 2) == card
 
 
 @settings(max_examples=300, deadline=None)
 @given(matrices(max_side=3, max_entry=5))
 def test_oracle_agrees_with_cokernel(a):
-    assert cokernel_bruteforce_oracle(a, 5) == cokernel(a).cardinality()
+    assert cokernel_bruteforce_oracle(a, 5) == _cardinality(a)

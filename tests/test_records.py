@@ -10,7 +10,7 @@ import pickle
 import pytest
 
 from coincalc.errors import DescriptorError
-from coincalc.lattice import FGAbelianGroup, IntMatrix
+from coincalc.lattice import IntMatrix
 from coincalc.projective import ProjectiveField, ProjectivePairDescriptor
 from coincalc.spaceform import SpaceFormPairDescriptor
 from coincalc.sphere import SphereClassDescriptor
@@ -43,7 +43,6 @@ CASES = {
                            Verdict.infinite(["Thm1.8"])], None),
     IntMatrix: ([2, 2, (1, 2, 3, 4)], [1, 3, (0, 5, -7)],
                 ([2, 2, (1, 2, 3)], DescriptorError)),
-    FGAbelianGroup: ([(2, 4), 1], [], ([(4, 6)], DescriptorError)),
     PinpointGroupFact: (["pi_10_S^6", False, 24], ["key", True, INFINITE],
                         None),
     SphereClassDescriptor: ([3, 3, (1, 2)], [5, 3, None, YES, NO, UNK, YES],

@@ -6,8 +6,9 @@ and the registered ids that no answer emits must be exactly the pinned
 list below, so that a rule that becomes reachable, or stops being
 reached, shows up as a difference.  Likewise the public names of
 ``coincalc`` whose code no query runs are pinned, so that a new
-library-only function shows up too.  The workload generators are
-imported from perfbench and only read.
+library-only function shows up too.  Every answer must also be written
+by ``cli._dump``'s answer template, not by its general writer.  The
+workload generators are imported from perfbench and only read.
 
 Print the report (each id with its count, the ids never emitted, then the
 public names no query reaches):
@@ -21,7 +22,7 @@ from collections import Counter
 from pathlib import Path
 
 import coincalc
-from coincalc.cli import QueryError, run_query
+from coincalc.cli import _ITEM, _SINGLE, QueryError, _answer, run_query
 from coincalc.errors import DescriptorError
 from coincalc.rules import REGISTRY
 
@@ -44,15 +45,15 @@ NEVER_EMITTED = frozenset({
 
 # Public names of coincalc whose code no query of the corpus runs: the
 # library functions whose ids docs/rules.md lists as library-only; the
-# Smith form and group view, the Grassmann Euler characteristic and the
-# Wecken overlap scan, which tests, demos and perfbench call; and the fact
-# base's installer, which cli.main calls outside run_query, and the error a
-# bad fact file raises.  Names with no code of their own (plain exception
+# Smith form, the Grassmann Euler characteristic and the Wecken overlap
+# scan, which tests, demos and perfbench call; and the fact base's
+# installer, which cli.main calls outside run_query, and the error a bad
+# fact file raises.  Names with no code of their own (plain exception
 # classes, enums without methods, constants) are not counted.
 LIBRARY_ONLY = frozenset({
     "circle_target_mcc", "kervaire_case", "hopf_case",
     "del_vanishes_by_dimension", "nsharp_restrictions",
-    "FGAbelianGroup", "SmithNormalForm", "smith_normal_form", "cokernel",
+    "SmithNormalForm", "smith_normal_form",
     "grassmann_euler", "overlap_disagreements",
     "set_factbase", "FactBaseError",
 })
@@ -136,6 +137,20 @@ def test_emitted_ids_are_registered_and_the_rest_pinned():
     assert never == NEVER_EMITTED, (
         f"now emitted: {sorted(NEVER_EMITTED - never)}; "
         f"no longer emitted: {sorted(never - NEVER_EMITTED)}")
+
+
+def test_every_answer_takes_the_template():
+    # the template is the fast writer; an answer that misses it is still
+    # written right, by cli._write, but several times slower
+    missed = []
+    for query in corpus():
+        try:
+            answer = run_query(query)
+        except (QueryError, DescriptorError):
+            continue  # run_batch's error answers go to cli._write
+        if not (_answer(answer, _SINGLE, []) and _answer(answer, _ITEM, [])):
+            missed.append(query.get("id"))
+    assert missed == []
 
 
 def main() -> None:

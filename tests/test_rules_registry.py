@@ -28,6 +28,15 @@ def test_documented_rules_are_registered():
     assert documented == set(REGISTRY)
 
 
+def test_documented_sentences_are_the_registry_sentences():
+    # each table row states its rule in the words REGISTRY gives it
+    rows = re.findall(r"^\| `([^`]+)` \| (.*) \|$", DOCS.read_text(),
+                      flags=re.MULTILINE)
+    assert len(rows) == len(REGISTRY)
+    assert [rid for rid, sentence in rows
+            if REGISTRY.get(rid) != sentence] == []
+
+
 def _written_id_patterns() -> list[re.Pattern]:
     """One pattern per string literal in the package outside rules.py; an
     f-string's fields stand for integers, as in f"Table4.7-row{row}"."""
