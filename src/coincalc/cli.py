@@ -58,7 +58,7 @@ wecken = _Lazy("wecken")
 
 # bounds on a torus h1, which keep its cokernel order to about a second on
 # a 2-core host.  At the 32,000-digit cap a square 64x64 matrix takes one
-# elimination, 0.13-0.25 s.  A diagonal or triangular one, permuted or not,
+# elimination, 0.12-0.2 s.  A diagonal or triangular one, permuted or not,
 # takes none: its singleton rows are peeled, and the order is the product
 # of its diagonal, in under 10 ms.  A wide 63x64 one takes 0.13-0.2 s when
 # random and 0.03-0.05 s when each row carries its own 7-digit factor,

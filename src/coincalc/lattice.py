@@ -2,16 +2,16 @@
 torus query, invariant factors and the Smith normal form.
 
 Everything runs on Python's arbitrary-precision integers; no intermediate
-value is allowed to overflow because none can.  One fraction-free (Bareiss)
-elimination, ``_eliminate``, on odd pivots where it can, serves both
-routes.  ``cokernel_order`` first peels singleton rows, those with one
-nonzero entry x: the order is |x| times that of the matrix without x's row
-and column, so diagonal and triangular matrices, permuted or not, take no
-elimination.  It reads the order of what is left from the elimination:
-INFINITE below full row rank, and for a square matrix |det|, its last
-pivot.  Only a wide matrix needs more, the gcd of its maximal minors: the
-product of its row contents and of the invariant factors of the rows
-divided by them.
+value is allowed to overflow because none can.  Two fraction-free
+(Bareiss) eliminations split the work: ``_det`` serves ``cokernel_order``,
+and ``_eliminate``, on odd pivots where it can, serves
+``invariant_factors``.  ``cokernel_order`` first peels singleton rows,
+those with one nonzero entry x: the order is |x| times that of the matrix
+without x's row and column, so diagonal and triangular matrices, permuted
+or not, take no elimination.  Of a square matrix left it reads |det| from
+``_det``, INFINITE when that is 0.  Only a wide matrix needs more, the gcd
+of its maximal minors: the product of its row contents and of the
+invariant factors of the rows divided by them.
 
 ``invariant_factors`` builds no transforms.  It divides out the content
 (the gcd of all entries) first; the elimination then yields |det| and a
@@ -301,8 +301,8 @@ def _smith_mod(rows: list[list[int]], g: int) -> tuple[int, ...]:
 
 
 def _eliminate(rows: list[list[int]]) -> tuple[deque, int, int, list[int]]:
-    """One fraction-free (Bareiss) elimination of ``rows``, which it leaves
-    as they are: (steps, prev, rank, lead).
+    """The fraction-free (Bareiss) elimination of ``invariant_factors``,
+    which leaves ``rows`` as they are: (steps, prev, rank, lead).
 
     After step k the block is the (k+1)-minors of the first k pivots and one
     more row and column; ``steps`` keeps (p_k, block after step k) for the
@@ -341,6 +341,38 @@ def _eliminate(rows: list[list[int]]) -> tuple[deque, int, int, list[int]]:
         rank += 1
         steps.append((p, nxt))
     return steps, prev, rank, lead
+
+
+def _det(rows: list[list[int]]) -> int:
+    """+-det of the square ``rows``, 0 when singular, by a fraction-free
+    (Bareiss) elimination that leaves ``rows`` as they are.
+
+    Each step eliminates the leading column on its first nonzero entry p,
+    the pivot; a row whose leading entry is 0 is only rescaled by p over
+    the previous pivot.  Moving the pivot row out of the block only flips
+    the sign, and the last 2x2 block closes with one more step."""
+    block, prev = rows, 1
+    while len(block) > 2:
+        i = next((i for i, row in enumerate(block) if row[0]), None)
+        if i is None:
+            return 0
+        top = block[i]
+        p, top = top[0], top[1:]
+        nxt = []
+        for row in block[:i] + block[i + 1:]:
+            x0 = row[0]
+            if x0:
+                nxt.append([(p * x - x0 * y) // prev
+                            for x, y in zip(row[1:], top)])
+            elif p == prev:
+                nxt.append(row[1:])
+            else:
+                nxt.append([p * x // prev for x in row[1:]])
+        block, prev = nxt, p
+    if len(block) == 1:
+        return block[0][0]
+    (a, b), (c, d) = block
+    return (a * d - b * c) // prev
 
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
@@ -401,8 +433,8 @@ def cokernel_order(a: IntMatrix) -> ExtNat:
     row leaves the rank below full, and so does a second singleton in the
     same column, which is zero once the first is peeled.
 
-    Of what is left, a square matrix takes one Bareiss elimination, whose
-    last pivot is +-det.  A wide one multiplies invariant factors, since no
+    Of what is left, a square matrix takes ``_det``, whose +-det is 0
+    exactly below full rank.  A wide one multiplies invariant factors, since no
     single minor gives the gcd of all of them, but first divides each row i
     by its content c_i, which is not 0 after the peel: every maximal minor
     holds each row once, so the order is prod c_i times the quotient's."""
@@ -433,8 +465,8 @@ def cokernel_order(a: IntMatrix) -> ExtNat:
         return scale
     r, c = len(rows), len(rows[0])
     if r == c:
-        _, prev, rank, _ = _eliminate(rows)
-        return scale * abs(prev) if rank == r else INFINITE
+        d = _det(rows)
+        return scale * abs(d) if d else INFINITE
     contents = [gcd(*row) for row in rows]
     factors = invariant_factors(IntMatrix(r, c, tuple(
         x // g for row, g in zip(rows, contents) for x in row)))

@@ -64,6 +64,7 @@ class TorusPairDescriptor(Record):
 
 
 _INFINITE_18 = Verdict.infinite(("Thm1.8",))
+_ZERO_18 = Verdict.finite(0, ("Thm1.8",))
 _MC_37 = Verdict.unknown(("Thm3.7",))
 _ZERO_37 = Verdict.finite(0, ("Thm3.7",))
 _NEEDS_DET_KILLS_TOP = Verdict.unknown(("Thm3.7", "needs:det_kills_top"))
@@ -77,7 +78,7 @@ def torus_invariants(d: TorusPairDescriptor) -> InvariantBundle:
     det = 0 if card is INFINITE else card
 
     if d.source_is_torus:
-        value = Verdict.finite(det, ("Thm1.8",))
+        value = Verdict.finite(det, ("Thm1.8",)) if det else _ZERO_18
         # the Reidemeister number is the cokernel order, |det| when finite
         reid = _INFINITE_18 if card is INFINITE else value
         mc = value if d.m == d.n or det == 0 else _INFINITE_18

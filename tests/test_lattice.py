@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,8 @@ from coincalc import (
 from coincalc import lattice
 from coincalc.lattice import _smith_mod
 from oracles import column, cokernel_bruteforce_oracle, det_cofactor, mul, neg
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _zero(rows, cols):
@@ -464,14 +467,19 @@ def test_cokernel_order_peels_singleton_rows_without_elimination(
     lower = [[rng.randint(-10 ** 30, 10 ** 30) if j < i else
               (i + 2 if j == i else 0) for j in range(6)] for i in range(6)]
     upper = [row[::-1] for row in lower[::-1]]
-    calls = []
-    eliminate = lattice._eliminate
+    calls, eliminated = [], []
+    det, eliminate = lattice._det, lattice._eliminate
 
     def spy(rows):
         calls.append(rows)
+        return det(rows)
+
+    def eliminate_spy(rows):
+        eliminated.append(rows)
         return eliminate(rows)
 
-    monkeypatch.setattr(lattice, "_eliminate", spy)
+    monkeypatch.setattr(lattice, "_det", spy)
+    monkeypatch.setattr(lattice, "_eliminate", eliminate_spy)
     assert [cokernel_order(IntMatrix.from_rows(h1)) for h1 in h1s] == [
         6, 6, INFINITE, 3, 4]
     assert [cokernel_order(IntMatrix.from_rows([row[::-1] for row in h1]))
@@ -479,10 +487,70 @@ def test_cokernel_order_peels_singleton_rows_without_elimination(
     assert cokernel_order(IntMatrix.from_rows(lower)) == 5040
     assert cokernel_order(IntMatrix.from_rows(upper)) == 5040
     assert calls == []
-    # past the singleton row, a dense 2x2 block is eliminated
+    # past the singleton row, a dense 2x2 block takes the determinant
     assert cokernel_order(IntMatrix.from_rows(
         [[5, 0, 0], [7, 1, 2], [1, 3, 4]])) == 10
     assert calls == [[[1, 2], [3, 4]]]
+    # no square matrix reaches the elimination of invariant_factors
+    assert eliminated == []
+
+
+@st.composite
+def det_matrices(draw, max_side=5):
+    """Square matrices of entries in -9..9, some with a zero leading column,
+    with zero leading entries above the first nonzero one, or with a row
+    that is a combination of two others."""
+    n = draw(st.integers(1, max_side))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n,
+                                  max_size=n), min_size=n, max_size=n))
+    for i in range(draw(st.integers(0, n))):
+        rows[i][0] = 0
+    if n > 2 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        f, g = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[i] = [f * x + g * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(det_matrices())
+def test_det_is_the_determinant_up_to_sign(rows):
+    before = [row[:] for row in rows]
+    assert abs(lattice._det(rows)) == abs(det_cofactor(
+        IntMatrix.from_rows(rows)))
+    assert rows == before
+
+
+def _workload_squares():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import build
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return [q["payload"]["h1"] for name in ("torus-lattice", "bigint")
+            for q in build(name, 1, ROOT).queries
+            if q["family"] == "torus"
+            and len(q["payload"]["h1"]) == len(q["payload"]["h1"][0])]
+
+
+def test_det_agrees_with_the_elimination_of_invariant_factors():
+    # every square h1 of the seed-1 torus-lattice and bigint rounds, and a
+    # random 64x64 at the digit cap
+    from coincalc.cli import MAX_MATRIX_DIGITS, _digits
+    bound = 10 ** (MAX_MATRIX_DIGITS // 64 ** 2)
+    rng = random.Random(64)
+    cap = [[rng.randint(-bound, bound) for _ in range(64)] for _ in range(64)]
+    assert 0.8 * MAX_MATRIX_DIGITS < sum(_digits(x) for row in cap
+                                         for x in row) <= MAX_MATRIX_DIGITS
+    squares = _workload_squares() + [cap]
+    assert sum(len(rows) > 4 for rows in squares) > 100
+    singular = 0
+    for rows in squares:
+        _, prev, rank, _ = lattice._eliminate(rows)
+        d = lattice._det(rows)
+        assert abs(d) == (abs(prev) if rank == len(rows) else 0)
+        singular += not d
+    assert singular > 0
 
 
 def test_cokernel_order_counts_no_zeros_of_a_matrix_without_singletons(
