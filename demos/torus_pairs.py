@@ -6,12 +6,13 @@ f1* - f2* on first homology and the lattice index of its image answers
 every question at once.
 """
 
+from math import prod
+
 from coincalc import (
     IntMatrix,
     TorusPairDescriptor,
     circle_target_mcc,
     cokernel_order,
-    invariant_factors,
     smith_normal_form,
     torus_invariants,
     user_fact,
@@ -33,9 +34,8 @@ print("A pair of selfmaps of the 2-torus whose difference acts as "
       "diag(2, 3) on H1.")
 h1 = IntMatrix.diagonal([2, 3])
 snf = smith_normal_form(h1)
-factors = invariant_factors(h1)
-torsion = tuple(d for d in factors if d >= 2)
-free_rank = h1.rows - len(factors)
+torsion = tuple(d for d in snf.divisors if d >= 2)
+free_rank = h1.rows - len(snf.divisors)
 print(f"Smith divisors of the difference matrix: {snf.divisors}; "
       f"cokernel torsion {torsion}, free rank {free_rank}.")
 print(f"The lattice index {cokernel_order(h1)} is every Nielsen number "
@@ -43,10 +43,9 @@ print(f"The lattice index {cokernel_order(h1)} is every Nielsen number "
 show("T^2 -> T^2, diag(2, 3)", torus_invariants(
     TorusPairDescriptor(2, 2, h1, True)))
 
-# the cokernel's invariant factors, computed without transforms, against
-# the transforms' diagonal
-assert factors == snf.divisors
-assert torsion == tuple(d for d in snf.divisors if d >= 2)
+# the cokernel's order is the product of its torsion when it has no free
+# part
+assert free_rank == 0 and cokernel_order(h1) == prod(torsion)
 print("\nThe cokernel's torsion", torsion, "is the Smith divisors past 1.")
 
 print("\nIn positive codimension the minimum number of *points* blows up "

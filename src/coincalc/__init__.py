@@ -12,8 +12,9 @@ answers run, and library functions that no answer calls: the Smith normal
 form, the Grassmann Euler characteristic, the Wecken overlap scan, and
 the criteria whose rule ids docs/rules.md lists as emitted by library
 functions only.  The cokernel of an integer matrix has no object of its
-own: ``cokernel_order`` gives its size and ``invariant_factors`` its
-torsion (the factors past 1) and free rank (rows less the factor count).
+own: ``cokernel_order`` gives its size, and the ``divisors`` of
+``smith_normal_form`` its torsion (the divisors past 1) and free rank
+(rows less the divisor count).
 tests/test_rule_coverage.py pins which public names no query reaches.
 Each name is imported on its first use.
 """
@@ -30,7 +31,7 @@ _SUBMODULE = {
         ("errors", ("CoincalcError", "ConsistencyError", "DescriptorError",
                     "FactBaseError")),
         ("lattice", ("IntMatrix", "SmithNormalForm", "smith_normal_form",
-                     "cokernel_order", "invariant_factors")),
+                     "cokernel_order")),
         ("verdict", ("Fact", "Truth", "Verdict", "InvariantBundle",
                      "user_fact", "validate_bundle", "INFINITE", "UNKNOWN")),
         ("tables", ("FactBase", "KervaireStatus", "get_factbase",

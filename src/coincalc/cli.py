@@ -58,14 +58,15 @@ wecken = _Lazy("wecken")
 
 # bounds on a torus h1, which keep its cokernel order to about a second on
 # a 2-core host.  At the 32,000-digit cap a square 64x64 matrix takes one
-# elimination, 0.12-0.2 s.  A diagonal or triangular one, permuted or not,
+# elimination, 0.12-0.14 s.  A diagonal or triangular one, permuted or not,
 # takes none: its singleton rows are peeled, and the order is the product
-# of its diagonal, in under 10 ms.  A wide 63x64 one takes 0.13-0.2 s when
-# random and 0.03-0.05 s when each row carries its own 7-digit factor,
-# which is divided out.  The slowest are wide ones whose factors are
-# hidden, L*D*B with L unit lower-bidiagonal, D a diagonal of 7-digit
-# factors and B of entries in -2..2, whose cokernel order has about 420
-# digits: 0.7-0.9 s.
+# of its diagonal, in under 10 ms.  A wide 63x64 one takes one elimination
+# too, 0.11-0.13 s when random and 0.02 s when each row carries its own
+# 7-digit factor, which is divided out.  The slowest are wide ones whose
+# factors are hidden, L*D*B with L unit lower-bidiagonal, D a diagonal of
+# 7-digit factors and B of entries in -2..2, whose cokernel order has
+# about 420 digits: the elimination and a reduction of the whole matrix
+# modulo a gcd of about 300 digits take 0.36-0.48 s.
 MAX_MATRIX_DIM = 64
 MAX_MATRIX_DIGITS = 32_000  # decimal digits of all entries together
 
@@ -152,7 +153,9 @@ def _run_torus(payload: dict):
     warnings = []
     if not d.source_is_torus:
         order = bundle.reidemeister.value  # the cokernel order
-        det = 0 if order is INFINITE else order
+        # written as the answer writes ints: an f-string refuses past
+        # 4,300 digits
+        det = "0" if order is INFINITE else _scalar(order)
         warnings.append(torus.bound_chain_note(d, det))
     return bundle, d.n, warnings
 

@@ -1,34 +1,33 @@
 """Exact integer linear algebra: the cokernel order, which answers every
-torus query, invariant factors and the Smith normal form.
+torus query, and the Smith normal form.
 
 Everything runs on Python's arbitrary-precision integers; no intermediate
 value is allowed to overflow because none can.  Two fraction-free
-(Bareiss) eliminations split the work: ``_det`` serves ``cokernel_order``,
-and ``_eliminate``, on odd pivots where it can, serves
-``invariant_factors``.  ``cokernel_order`` first peels singleton rows,
-those with one nonzero entry x: the order is |x| times that of the matrix
-without x's row and column, so diagonal and triangular matrices, permuted
-or not, take no elimination.  Of a square matrix left it reads |det| from
-``_det``, INFINITE when that is 0.  Only a wide matrix needs more, the gcd
-of its maximal minors: the product of its row contents and of the
-invariant factors of the rows divided by them.
+(Bareiss) eliminations serve ``cokernel_order``: ``_det`` and, on odd
+pivots where it can, ``_wide_order``.  ``cokernel_order`` first peels
+singleton rows, those with one nonzero entry x: the order is |x| times
+that of the matrix without x's row and column, so diagonal and triangular
+matrices, permuted or not, take no elimination.  Of a square matrix left
+it reads |det| from ``_det``, INFINITE when that is 0.  Only a wide matrix
+needs more, the gcd of its maximal minors: the product of its row contents
+and of the maximal-minor gcd of the rows divided by them.
 
-``invariant_factors`` builds no transforms.  It divides out the content
-(the gcd of all entries) first; the elimination then yields |det| and a
-multiple g of a determinantal divisor, which certifies the factors or
-bounds a Smith reduction modulo g (``_smith_mod``), whose entries never
-outgrow it.  By Sylvester's identity each block of that elimination is its
-pivot minor times a Schur complement, so the reduction runs on the latest
-block of the last few whose pivot minor is prime to g, and on the whole
-matrix only when none is.  ``invariant_factors`` is library API and
-serves the wide matrices of ``cokernel_order``; the cokernel of A is the
-torsion of its factors past 1 plus a free part of rank rows - len(factors).
+``_wide_order`` builds no transforms.  Its elimination ends in one row of
+maximal minors, whose gcd g is a multiple of the answer, and the answer
+itself when the last pivot minor is prime to g.  Otherwise, since by
+Sylvester's identity each block of the elimination is its pivot minor
+times a Schur complement, a Smith reduction modulo g (``_smith_mod``),
+whose entries never outgrow it, runs on the latest block of the last few
+whose pivot minor is prime to g, and on the whole matrix only when none
+is.
 
 ``smith_normal_form`` runs the gcd-pivot elimination ``_reduce`` with the
 U and V transforms, so the factorization D = U * A * V is returned and can
-be checked exactly.  No answer calls it; the tests check
-``invariant_factors`` against it, and their determinant and coset-counting
-oracles live in ``tests/oracles.py``.
+be checked exactly.  No answer calls it.  Its ``divisors`` are the
+invariant factors of A, and the cokernel of A is the torsion of those past
+1 plus a free part of rank rows - len(divisors); the tests check
+``cokernel_order`` against them and against the minor, determinant and
+coset-counting oracles of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ from .verdict import INFINITE, ExtNat, Record, _set
 _INT_ONLY = frozenset({int})
 _count_zeros = methodcaller("count", 0)
 
-# how many steps back from its last one invariant_factors keeps the blocks
-# of its elimination, on which _smith_mod may run
+# how many steps back from its last one _wide_order keeps the blocks of its
+# elimination, on which _smith_mod may run
 _WINDOW = 4
 
 
@@ -205,8 +204,8 @@ def smith_normal_form(a: IntMatrix) -> SmithNormalForm:
     """Diagonalize by unimodular transforms: returns (D, U, V) with
     D = U * a * V, diagonal entries nonnegative and sorted by divisibility.
 
-    No answer calls this: it is library API, and its ``divisors`` are the
-    test reference for ``invariant_factors``."""
+    No answer calls this: it is library API, and its ``divisors``, the
+    invariant factors of a, are a test reference for ``cokernel_order``."""
     d = a.to_rows()
     u = IntMatrix.identity(a.rows).to_rows()
     v = IntMatrix.identity(a.cols).to_rows()
@@ -214,16 +213,6 @@ def smith_normal_form(a: IntMatrix) -> SmithNormalForm:
     return SmithNormalForm(
         IntMatrix.from_rows(d), IntMatrix.from_rows(u), IntMatrix.from_rows(v)
     )
-
-
-def _block_gcd(block: list[list[int]]) -> int:
-    """gcd of every entry of ``block``; stops as soon as it reaches 1."""
-    h = 0
-    for row in block:
-        h = gcd(h, *row)
-        if h == 1:
-            break
-    return h
 
 
 def _xgcd_step(a: int, b: int) -> tuple[int, int, int, int, int]:
@@ -300,124 +289,84 @@ def _smith_mod(rows: list[list[int]], g: int) -> tuple[int, ...]:
     return tuple(diag)
 
 
-def _eliminate(rows: list[list[int]]) -> tuple[deque, int, int, list[int]]:
-    """The fraction-free (Bareiss) elimination of ``invariant_factors``,
-    which leaves ``rows`` as they are: (steps, prev, rank, lead).
-
-    After step k the block is the (k+1)-minors of the first k pivots and one
-    more row and column; ``steps`` keeps (p_k, block after step k) for the
-    last ``_WINDOW`` + 1 steps, with (1, rows) as step 0.  Each pivot is an
-    odd entry where the block has one, else its first nonzero entry.
-    ``prev`` is the last pivot, the rank-minor of the pivots (+-|det| for a
-    square matrix of full rank), and ``lead`` the first pivot row (None at
-    rank 0)."""
-    block, prev, rank, lead = rows, 1, 0, None
-    steps = deque([(1, rows)], _WINDOW + 1)
-    while block:
-        pivot = next(((i, j) for i, row in enumerate(block)
-                      for j, x in enumerate(row) if x & 1), None) or next(
-            ((i, j) for i, row in enumerate(block)
-             for j, x in enumerate(row) if x), None)
-        if pivot is None:
-            break
-        i, j = pivot
-        top = block[i]
-        if not rank:
-            lead = top
-        p = top[j]
-        top = top[:j] + top[j + 1:]
-        nxt = []
-        for row in block[:i] + block[i + 1:]:
-            x0 = row[j]
-            row = row[:j] + row[j + 1:]
-            if x0:
-                nxt.append([(p * x - x0 * y) // prev
-                            for x, y in zip(row, top)])
-            elif p == prev:
-                nxt.append(row)
-            else:
-                nxt.append([p * x // prev for x in row])
-        block, prev = nxt, p
-        rank += 1
-        steps.append((p, nxt))
-    return steps, prev, rank, lead
+def _bareiss_step(block: list[list[int]], i: int,
+                  prev: int) -> list[list[int]]:
+    """The block after one fraction-free (Bareiss) step that eliminates
+    the leading column of ``block`` on the pivot p = block[i][0], the
+    previous pivot being ``prev``: row i and the leading column are gone,
+    and every entry is a minor one larger than before.  A row whose leading
+    entry is 0 is only rescaled by p over ``prev``."""
+    top = block[i]
+    p, top = top[0], top[1:]
+    nxt = []
+    for row in block[:i] + block[i + 1:]:
+        x0 = row[0]
+        if x0:
+            nxt.append([(p * x - x0 * y) // prev
+                        for x, y in zip(row[1:], top)])
+        elif p == prev:
+            nxt.append(row[1:])
+        else:
+            nxt.append([p * x // prev for x in row[1:]])
+    return nxt
 
 
 def _det(rows: list[list[int]]) -> int:
     """+-det of the square ``rows``, 0 when singular, by a fraction-free
     (Bareiss) elimination that leaves ``rows`` as they are.
 
-    Each step eliminates the leading column on its first nonzero entry p,
-    the pivot; a row whose leading entry is 0 is only rescaled by p over
-    the previous pivot.  Moving the pivot row out of the block only flips
-    the sign, and the last 2x2 block closes with one more step."""
+    Each step (``_bareiss_step``) eliminates the leading column on its
+    first nonzero entry, the pivot.  Moving the pivot row out of the block
+    only flips the sign, and the last 2x2 block closes with one more
+    step."""
     block, prev = rows, 1
     while len(block) > 2:
         i = next((i for i, row in enumerate(block) if row[0]), None)
         if i is None:
             return 0
-        top = block[i]
-        p, top = top[0], top[1:]
-        nxt = []
-        for row in block[:i] + block[i + 1:]:
-            x0 = row[0]
-            if x0:
-                nxt.append([(p * x - x0 * y) // prev
-                            for x, y in zip(row[1:], top)])
-            elif p == prev:
-                nxt.append(row[1:])
-            else:
-                nxt.append([p * x // prev for x in row[1:]])
-        block, prev = nxt, p
+        block, prev = _bareiss_step(block, i, prev), block[i][0]
     if len(block) == 1:
         return block[0][0]
     (a, b), (c, d) = block
     return (a * d - b * c) // prev
 
 
-def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
-    """The nonzero invariant factors d_1 | d_2 | ... of ``a``: the same as
-    ``smith_normal_form(a).divisors``.
+def _wide_order(rows: list[list[int]]) -> int:
+    """The gcd of the maximal minors of the wide ``rows``, 0 below full
+    rank, by a fraction-free (Bareiss) elimination that leaves ``rows`` as
+    they are.
 
-    The content c, the gcd of all entries, is divided out first: the
-    factors of A are c times those of A / c.  Then one Bareiss elimination
-    (``_eliminate``) gives the rank and, after each step k, a block of
-    (k+1)-minors that is p_k, the k-minor of the pivots, times the Schur
-    complement (Sylvester's identity); odd pivots keep p_k odd wherever
-    A mod 2 allows.  Let e be n-1 for a square matrix of full rank and the
-    rank otherwise.  The gcd g of the e-minors in the block after step e-1
-    is a multiple of d_1 ... d_e: if g = 1 they are all 1, else each is its
-    gcd with g.  Over the primes of g the matrix is I_k plus the block after
-    step k when gcd(p_k, g) = 1, so ``_smith_mod`` computes those gcds
-    modulo g on the latest such block of the last ``_WINDOW`` steps, or on
-    the whole matrix (k = 0, p_0 = 1).  A square matrix of full rank has
-    |det| / (d_1 ... d_(n-1)) as its last factor."""
-    rows = a.to_rows()
-    if a.rows > a.cols:  # A and its transpose share invariant factors
-        rows = [list(col) for col in zip(*rows)]
-    c = _block_gcd(rows)
-    if not c:
-        return ()
-    if c > 1:
-        rows = [[x // c for x in row] for row in rows]
-    steps, prev, rank, lead = _eliminate(rows)
-    square = rank == len(rows) == len(rows[0])
-    e = rank - square
-    first = rank + 1 - len(steps)  # the step k of steps[0]
-    g = _block_gcd(steps[e - 1 - first][1]) if e else 1
-    if g == 1:
-        head = (1,) * e
-    else:
-        # g and every p_k with k >= 1 are multiples of the gcd of the first
-        # pivot row: past 1 (a diagonal chain, say) only k = 0 qualifies
-        k = 0
-        if gcd(*lead) == 1:
-            k = next((k for k in range(e - 1, max(first, 1) - 1, -1)
-                      if gcd(steps[k - first][0], g) == 1), 0)
-        head = ((1,) * k + _smith_mod(
-            steps[k - first][1] if k else rows, g))[:e]
-    factors = head + (abs(prev) // prod(head),) if square else head
-    return tuple(c * d for d in factors) if c > 1 else factors
+    Each step (``_bareiss_step``) eliminates the leading column on its
+    first odd entry where it has one, else on its first nonzero one, and a
+    zero leading column is dropped.  After step k the block is p_k, the
+    k-minor of the pivots, times the Schur complement (Sylvester's
+    identity); after step r-1 its one row holds the maximal minors through
+    the pivot columns, whose gcd g is a multiple of the answer.  g is the
+    answer when it is 0 or 1, or when gcd(p_(r-1), g) = 1: over each prime
+    of g the matrix is then I_(r-1) plus the last row over p_(r-1).
+    Otherwise the answer is the product of the invariant factors modulo g
+    (``_smith_mod``) of the latest block of the last ``_WINDOW`` steps
+    whose p_k is prime to g, over whose primes the matrix is I_k plus that
+    block, or of the whole matrix (k = 0, p_0 = 1).  Odd pivots keep p_k
+    odd wherever the leading columns allow."""
+    block, prev = rows, 1
+    steps = deque([(1, rows)], _WINDOW + 1)
+    while len(block) > 1:
+        i = next((i for i, row in enumerate(block) if row[0] & 1), None)
+        if i is None:
+            i = next((i for i, row in enumerate(block) if row[0]), None)
+            if i is None:  # a zero column, which no maximal minor needs
+                if len(block[0]) <= len(block):
+                    return 0
+                block = [row[1:] for row in block]
+                continue
+        block, prev = _bareiss_step(block, i, prev), block[i][0]
+        steps.append((prev, block))
+    g = gcd(*block[0])
+    if g <= 1 or gcd(prev, g) == 1:
+        return g
+    return prod(_smith_mod(next((b for p, b in reversed(steps)
+                                 if gcd(p, g) == 1), rows), g))
 
 
 def cokernel_order(a: IntMatrix) -> ExtNat:
@@ -434,10 +383,11 @@ def cokernel_order(a: IntMatrix) -> ExtNat:
     same column, which is zero once the first is peeled.
 
     Of what is left, a square matrix takes ``_det``, whose +-det is 0
-    exactly below full rank.  A wide one multiplies invariant factors, since no
-    single minor gives the gcd of all of them, but first divides each row i
-    by its content c_i, which is not 0 after the peel: every maximal minor
-    holds each row once, so the order is prod c_i times the quotient's."""
+    exactly below full rank.  A wide one takes ``_wide_order``, the gcd of
+    its maximal minors, since no single minor gives it, but first divides
+    each row i by its content c_i, which is not 0 after the peel: every
+    maximal minor holds each row once, so the order is prod c_i times the
+    quotient's."""
     if a.rows > a.cols:
         return INFINITE
     rows, scale = a.to_rows(), 1
@@ -463,13 +413,10 @@ def cokernel_order(a: IntMatrix) -> ExtNat:
                 for row in rest]
     if not rows:
         return scale
-    r, c = len(rows), len(rows[0])
-    if r == c:
+    if len(rows) == len(rows[0]):
         d = _det(rows)
         return scale * abs(d) if d else INFINITE
     contents = [gcd(*row) for row in rows]
-    factors = invariant_factors(IntMatrix(r, c, tuple(
-        x // g for row, g in zip(rows, contents) for x in row)))
-    return (scale * prod(contents) * prod(factors) if len(factors) == r
-            else INFINITE)
-
+    d = _wide_order([row if g == 1 else [x // g for x in row]
+                     for row, g in zip(rows, contents)])
+    return scale * prod(contents) * d if d else INFINITE

@@ -108,9 +108,9 @@ def torus_invariants(d: TorusPairDescriptor) -> InvariantBundle:
                            reidemeister=reid)
 
 
-def bound_chain_note(d: TorusPairDescriptor, det: int) -> str:
+def bound_chain_note(d: TorusPairDescriptor, det: str) -> str:
     """Human-readable record of the bound chain for general sources, given
-    ``det``, the |det| of the image of the H1 difference."""
+    ``det``, the digits of the |det| of the image of the H1 difference."""
     middle = " ≥ MCC" if d.n != 2 else " ≥ MCC (needs n ≠ 2)"
     return (f"Thm3.7 bounds: Reidemeister ≥ |det| = {det}{middle} "
             "≥ N# ≥ Ñ ≥ N ≥ N^Z")

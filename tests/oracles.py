@@ -1,15 +1,17 @@
 """Test oracles for the lattice layer, independent of the Smith reduction.
 
 Determinants come from cofactor expansion, ranks from minors, and the
-order of a cokernel from counting cosets by enumeration and union-find.
-Only sensible at desk scale; no answer runs any of this.
+order of a cokernel from counting cosets by enumeration and union-find, or
+from the gcd of every maximal minor.  Only sensible at desk scale; no
+answer runs any of this.
 """
 
 import itertools
 from collections import deque
+from math import gcd
 
 from coincalc.errors import DescriptorError
-from coincalc.lattice import IntMatrix
+from coincalc.lattice import IntMatrix, _det
 from coincalc.verdict import INFINITE, ExtNat
 
 # the oracle enumerates one coset representative per element of a finite
@@ -59,6 +61,15 @@ def _det_rows(rows: list[list[int]]) -> int:
             total += sign * rows[0][j] * _det_rows(minor)
         sign = -sign
     return total
+
+
+def maximal_minor_gcd(m: IntMatrix) -> int:
+    """The gcd of |``lattice._det``| over every rows-subset of the columns
+    of ``m``: the order of its cokernel, or 0 when that is infinite (below
+    full row rank, and always when cols < rows)."""
+    rows = m.to_rows()
+    return gcd(*(_det([[row[j] for j in cols] for row in rows])
+                 for cols in itertools.combinations(range(m.cols), m.rows)))
 
 
 def _rank_by_minors(rows: list[list[int]]) -> int:

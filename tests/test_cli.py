@@ -5,14 +5,13 @@ import re
 import subprocess
 import sys
 import textwrap
-from math import prod
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coincalc import INFINITE, IntMatrix, invariant_factors
+from coincalc import IntMatrix
 from coincalc.cli import (
     QueryError,
     _build_parser,
@@ -21,6 +20,7 @@ from coincalc.cli import (
     run_batch,
     run_query,
 )
+from oracles import maximal_minor_gcd
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).resolve().parents[1]
@@ -222,6 +222,33 @@ def test_long_exact_answer_is_written(tmp_path):
     # keep the integers as text: 10^4500 is past the int-from-str limit
     answer = json.loads(result.stdout, parse_int=str)
     assert answer["invariants"]["mcc"]["value"] == "1" + "0" * 4500
+
+
+@pytest.mark.parametrize("command", ["query", "batch"])
+def test_general_source_note_writes_a_det_past_the_digit_limit(tmp_path,
+                                                               command):
+    # |det| = 10**8000 is past CPython's 4,300-digit int-to-str limit
+    big = 10 ** 4000
+    query = {"id": "long-det", "family": "torus", "payload": {
+        "m": 2, "n": 2, "h1": [[big, 0], [0, big]],
+        "source_is_torus": False}}
+    small = {"id": "small", "family": "torus", "payload": {
+        "m": 2, "n": 2, "h1": [[2, 0], [0, 3]], "source_is_torus": False}}
+    notes = [f"Thm3.7 bounds: Reidemeister ≥ |det| = {det} ≥ MCC (needs "
+             "n ≠ 2) ≥ N# ≥ Ñ ≥ N ≥ N^Z" for det in ("1" + "0" * 8000, 6)]
+    if command == "query":
+        path = write_query(tmp_path, query)
+    else:  # the batch goes on past the long note
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps([query, small]))
+    result = run_cli(command, str(path))
+    assert result.returncode == 0, result.stderr
+    answers = json.loads(result.stdout, parse_int=str)
+    if command == "query":
+        assert answers["warnings"] == notes[:1]
+    else:
+        assert [answer["warnings"] for answer in answers] == [
+            notes[:1], notes[1:]]
 
 
 def test_dump_keeps_the_input_digit_limit():
@@ -690,16 +717,10 @@ def test_oriented_target_must_be_boolean():
                                        "oriented_target": "no"}})
 
 
-def _cardinality(a):
-    """The size of Z^rows modulo the column lattice of ``a``."""
-    factors = invariant_factors(a)
-    return INFINITE if len(factors) < a.rows else prod(factors)
-
-
 def test_general_source_bound_chain_shows_the_det():
     for rows, det in (([[2, 0], [0, 3]], 6), ([[2, 4, 6], [0, 3, 9]], 6),
                       ([[4, 6], [2, 3]], 0), ([[0, 0], [0, 0]], 0)):
-        assert _cardinality(IntMatrix.from_rows(rows)) == (det or INFINITE)
+        assert maximal_minor_gcd(IntMatrix.from_rows(rows)) == det
         answer = run_query({"id": "g", "family": "torus", "payload": {
             "m": 4, "n": 2, "h1": rows, "source_is_torus": False}})
         assert answer["warnings"] == [
