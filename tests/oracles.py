@@ -72,6 +72,23 @@ def maximal_minor_gcd(m: IntMatrix) -> int:
                  for cols in itertools.combinations(range(m.cols), m.rows)))
 
 
+def invariant_factors_by_minors(m: IntMatrix) -> tuple[int, ...]:
+    """The invariant factors d_k = D_k / D_(k-1) of ``m``, D_k the gcd of
+    every k x k minor (D_0 = 1), for k up to the rank: the nonzero
+    diagonal of its Smith form, read without the Smith reduction."""
+    rows = m.to_rows()
+    factors, prev = [], 1
+    for k in range(1, min(m.rows, m.cols) + 1):
+        dk = gcd(*(_det([[rows[i][j] for j in cols] for i in row_idx])
+                   for row_idx in itertools.combinations(range(m.rows), k)
+                   for cols in itertools.combinations(range(m.cols), k)))
+        if not dk:
+            break
+        factors.append(dk // prev)
+        prev = dk
+    return tuple(factors)
+
+
 def _rank_by_minors(rows: list[list[int]]) -> int:
     """Exact rank: the largest k with a nonzero k x k minor."""
     r, c = len(rows), len(rows[0])

@@ -22,6 +22,7 @@ from oracles import (
     column,
     cokernel_bruteforce_oracle,
     det_cofactor,
+    invariant_factors_by_minors,
     maximal_minor_gcd,
     mul,
     neg,
@@ -231,6 +232,23 @@ def line_vectors():
     return st.lists(st.integers(-30, 30), min_size=1, max_size=8).flatmap(
         lambda xs: st.sampled_from((IntMatrix.from_rows([xs]),
                                     IntMatrix.from_rows([[x] for x in xs]))))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(
+    matrices(max_side=6, max_entry=20),  # square, wide and tall
+    matrices(max_side=5).map(_with_dependent_row),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)).map(
+        lambda rc: _zero(*rc)),
+    line_vectors(),
+    st.tuples(matrices(max_side=6), st.integers(0, 5),
+              st.integers(2, 12)).map(_with_scaled_column),
+    chain_products(),
+    udv_products(),
+))
+def test_invariant_factors_match_snf_divisors_by_shape(a):
+    # the Smith diagonal against the quotients of the determinantal divisors
+    assert smith_normal_form(a).divisors == invariant_factors_by_minors(a)
 
 
 def _smith_mod_calls(monkeypatch):
