@@ -186,10 +186,8 @@ def _run_sphere(payload: dict):
 
 def _run_spaceform(payload: dict):
     where = "spaceform payload"
-    hopf = payload.get("hopf_mod4")
-    if hopf is not None and (isinstance(hopf, bool)
-                             or not isinstance(hopf, int)):
-        raise QueryError(f"{where}: field 'hopf_mod4' must be an integer")
+    hopf = (_need(payload, "hopf_mod4", int, where)
+            if "hopf_mod4" in payload else None)
     d = spaceform.SpaceFormPairDescriptor(
         m=_need(payload, "m", int, where),
         n=_need(payload, "n", int, where),
@@ -321,7 +319,7 @@ def run_batch(queries: list) -> list[dict]:
     for query in queries:
         try:
             answers.append(run_query(query))
-        except (QueryError, DescriptorError) as exc:
+        except DescriptorError as exc:
             answers.append({
                 "id": query.get("id", "") if isinstance(query, dict) else "",
                 "factbase_version": get_factbase().version,
@@ -665,7 +663,7 @@ def main(argv=None) -> int:
                                  "oriented_target": args.oriented}}
         sys.stdout.write(_dump(run_query(query)))
         return 0
-    except (QueryError, DescriptorError) as exc:
+    except DescriptorError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:

@@ -20,6 +20,7 @@ from .verdict import (
     Truth,
     Verdict,
     _set,
+    forced,
     truth_and,
     truth_not,
     no,
@@ -105,19 +106,15 @@ def _sync(name_a, a: Fact, name_b, b: Fact):
 def _resolve(d: ProjectivePairDescriptor):
     """The facts fprime_homotopic, lift2_in_ker_del, lift2_in_ker_Edel,
     lift2_antipodal_selfhomotopic and lifts_equal after the derivations
-    of Thm 4.5."""
+    of Thm 4.5; a descriptor that contradicts a forced fact, or gives two
+    facts that must agree different values, raises DescriptorError."""
     kd, ked = d.lift2_in_ker_del, d.lift2_in_ker_Edel
     if kd.is_yes():
-        if ked.is_no():
-            raise DescriptorError(
-                "lift2_in_ker_del = yes forces lift2_in_ker_Edel = yes "
-                "(the kernel of the boundary sits inside the kernel of "
-                "its suspension)"
-            )
-        if ked.is_unknown():
-            ked = _YES_45
-    if ked.is_no() and kd.is_unknown():
-        kd = _NO_45
+        ked = forced(
+            ked, _YES_45,
+            "lift2_in_ker_del = yes forces lift2_in_ker_Edel = yes "
+            "(the kernel of the boundary sits inside the kernel of "
+            "its suspension)")
 
     fprime = d.fprime_homotopic
     anti = d.lift2_antipodal_selfhomotopic
@@ -127,12 +124,12 @@ def _resolve(d: ProjectivePairDescriptor):
         # boundary, so the two facts carry the same information
         anti, ked = _sync("lift2_antipodal_selfhomotopic", anti,
                           "lift2_in_ker_Edel", ked)
-        if kd.is_unknown() and ked.is_no():
-            kd = _NO_45
     else:
         # downstairs homotopy is equivalent to equality of the lifts
         lifts_equal, fprime = _sync("lifts_equal", lifts_equal,
                                     "fprime_homotopic", fprime)
+    if ked.is_no() and kd.is_unknown():
+        kd = _NO_45  # contrapositive
     return fprime, kd, ked, anti, lifts_equal
 
 

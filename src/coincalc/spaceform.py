@@ -3,10 +3,11 @@
 The descriptor carries the homotopy-theoretic facts about one pair
 (f1, f2): whether the maps are (freely) homotopic, whether the boundary
 class and its suspension vanish, and in the two critical dimension settings
-the Kervaire invariant and the Hopf invariant mod 4 of a lift.  The engine
-checks fact consistency (odd n forces a vanishing boundary, a vanishing
-boundary forces a vanishing suspended boundary, groups of order >= 3 only
-act on odd spheres) but never computes a boundary homomorphism itself.
+the Kervaire invariant and the Hopf invariant mod 4 of a lift.  The
+descriptor checks that groups of order >= 3 act only on odd spheres.  The
+resolver returns the facts each setting forces (odd n forces a vanishing
+boundary, a vanishing boundary forces a vanishing suspended boundary) and
+rejects contradictions; no engine computes a boundary homomorphism itself.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .verdict import (
     Truth,
     Verdict,
     _set,
+    forced,
     no,
     rule_facts,
     truth_and,
@@ -83,66 +85,44 @@ _YES_110 = yes("Thm1.10")
 _YES_43 = yes("Prop4.3")
 
 
-def resolve(d: SpaceFormPairDescriptor) -> SpaceFormPairDescriptor:
-    """Apply forced derivations, rejecting contradictory descriptors."""
-    del_zero, e_del = d.del_zero, d.e_del_zero
-
+def _resolve(d: SpaceFormPairDescriptor) -> tuple[Fact, Fact, Fact, Fact]:
+    """The facts homotopic, del_zero, e_del_zero and in_psE_image after the
+    forced derivations of Thm 1.10, Thm 1.15 and Prop 4.3; a descriptor
+    that contradicts one of them raises DescriptorError."""
+    del_zero = d.del_zero
     if d.n % 2 == 1:
-        if del_zero.is_no():
-            raise DescriptorError(
-                "odd n: the target has zero Euler characteristic, so the "
-                "boundary class vanishes; del_zero cannot be no"
-            )
-        if del_zero.is_unknown():
-            del_zero = _YES_115
+        del_zero = forced(
+            del_zero, _YES_115,
+            "odd n: the target has zero Euler characteristic, so the "
+            "boundary class vanishes; del_zero cannot be no")
     if d.m == 1 or 2 <= d.m < d.n:
         # the boundary homomorphism is zero for m = 1 by convention, and
         # below the target dimension every class already vanishes
-        if del_zero.is_no():
-            raise DescriptorError(
-                "m = 1 or m < n: the boundary class is forced to vanish; "
-                "del_zero cannot be no"
-            )
-        if del_zero.is_unknown():
-            del_zero = _YES_115
+        del_zero = forced(
+            del_zero, _YES_115,
+            "m = 1 or m < n: the boundary class is forced to vanish; "
+            "del_zero cannot be no")
+    e_del = d.e_del_zero
     if del_zero.is_yes():
-        if e_del.is_no():
-            raise DescriptorError(
-                "del_zero = yes forces e_del_zero = yes (suspension of 0)"
-            )
-        if e_del.is_unknown():
-            e_del = _YES_115
+        e_del = forced(
+            e_del, _YES_115,
+            "del_zero = yes forces e_del_zero = yes (suspension of 0)")
     if e_del.is_no() and del_zero.is_unknown():
         del_zero = _NO_115  # contrapositive
 
     homotopic = d.homotopic
     if 2 <= d.m < d.n:
-        if homotopic.is_no():
-            raise DescriptorError(
-                "2 <= m < n: every map is nullhomotopic, so the pair is "
-                "homotopic; homotopic cannot be no"
-            )
-        if homotopic.is_unknown():
-            homotopic = _YES_110
-
+        homotopic = forced(
+            homotopic, _YES_110,
+            "2 <= m < n: every map is nullhomotopic, so the pair is "
+            "homotopic; homotopic cannot be no")
     in_image = d.in_psE_image
     if homotopic.is_yes():
-        if in_image.is_no():
-            raise DescriptorError(
-                "homotopic maps have vanishing class difference, which "
-                "lies in every subgroup: in_psE_image cannot be no"
-            )
-        if in_image.is_unknown():
-            in_image = _YES_43
-
-    # only facts change, and __init__ checks none of them: the copy skips
-    # the checks that d passed when it was built
-    resolved = object.__new__(SpaceFormPairDescriptor)
-    for name, value in zip(resolved.__slots__, (
-            d.m, d.n, d.group_order, homotopic, del_zero, e_del,
-            d.kervaire_one, d.hopf_mod4, in_image)):
-        _set(resolved, name, value)
-    return resolved
+        in_image = forced(
+            in_image, _YES_43,
+            "homotopic maps have vanishing class difference, which "
+            "lies in every subgroup: in_psE_image cannot be no")
+    return homotopic, del_zero, e_del, in_image
 
 
 _UNDECIDED = Verdict.unknown()
@@ -172,8 +152,7 @@ def spaceform_pair_invariants(d: SpaceFormPairDescriptor) -> InvariantBundle:
         raise DescriptorError(
             "circle space forms are circles; use the sphere engine"
         )
-    d = resolve(d)
-    hom, e_del, del_zero = d.homotopic, d.e_del_zero, d.del_zero
+    hom, del_zero, e_del, in_image = _resolve(d)
 
     if d.m >= 2:
         reid = Verdict.finite(d.group_order, ("Thm1.10",))
@@ -219,7 +198,7 @@ def spaceform_pair_invariants(d: SpaceFormPairDescriptor) -> InvariantBundle:
     if hom.is_yes():
         mc = _SELF_MC[mcc]  # selfcoincidence setting: MC = MCC
     elif d.n % 2 == 1 and d.n >= 3 and d.m >= 2:
-        mc = _spaceform_mc(d)
+        mc = _spaceform_mc(d, hom, in_image)
     else:
         mc = _UNDECIDED
     return InvariantBundle(mc=mc, mcc=mcc, n_sharp=n_sharp,
@@ -233,17 +212,19 @@ _MC_NEEDS_IMAGE = Verdict.unknown(("Prop4.3", "needs:in_psE_image"))
 _MC_NEEDS_HOMOTOPIC = Verdict.unknown(("Prop4.3", "needs:homotopic"))
 
 
-def _spaceform_mc(d: SpaceFormPairDescriptor) -> Verdict:
-    """MC of a resolved pair not known to be homotopic, with odd n >= 3
-    and m >= 2 (Prop4.3): infinite outside the suspension-projection image,
-    0 for m < n, the group order otherwise."""
-    if d.in_psE_image.is_no():
+def _spaceform_mc(d: SpaceFormPairDescriptor, homotopic: Fact,
+                  in_image: Fact) -> Verdict:
+    """MC of a pair not known to be homotopic, from its resolved facts
+    homotopic and in_psE_image, with odd n >= 3 and m >= 2 (Prop4.3):
+    infinite outside the suspension-projection image, 0 for m < n, the
+    group order otherwise."""
+    if in_image.is_no():
         return _MC_INFINITE_43
     if d.m < d.n:
         return _MC_ZERO_43
-    if d.in_psE_image.is_unknown():
+    if in_image.is_unknown():
         return _MC_NEEDS_IMAGE
-    if d.homotopic.is_no():
+    if homotopic.is_no():
         return Verdict.finite(d.group_order, ("Prop4.3",))
     return _MC_NEEDS_HOMOTOPIC
 
@@ -269,7 +250,7 @@ def kervaire_case(d: SpaceFormPairDescriptor) -> Fact:
         )
     if d.group_order != 2:
         raise DescriptorError("kervaire_case needs a group of order 2")
-    d = resolve(d)
+    e_del = _resolve(d)[2]
 
     kervaire = d.kervaire_one
     if kervaire_status(d.n) is KervaireStatus.NONE_EXISTS:
@@ -280,7 +261,7 @@ def kervaire_case(d: SpaceFormPairDescriptor) -> Fact:
             )
         kervaire = _NO_BROWDER if d.n & (d.n - 1) else _NO_HHR
 
-    truth = truth_and(d.e_del_zero.truth, truth_not(kervaire.truth))
+    truth = truth_and(e_del.truth, truth_not(kervaire.truth))
     if truth is Truth.UNKNOWN and d.n == 128:
         return _HHR_OPEN_UNKNOWN
     return _THM120[truth]
@@ -301,7 +282,7 @@ def hopf_case(d: SpaceFormPairDescriptor) -> Fact:
         raise DescriptorError("hopf_case needs a group of order 2")
     if d.hopf_mod4 is None:
         raise DescriptorError("hopf_case needs hopf_mod4")
-    d = resolve(d)
+    e_del = _resolve(d)[2]
 
     divisible = Truth.YES if d.hopf_mod4 == 0 else Truth.NO
-    return _THM122[truth_and(d.e_del_zero.truth, divisible)]
+    return _THM122[truth_and(e_del.truth, divisible)]

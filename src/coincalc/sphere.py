@@ -18,6 +18,7 @@ from .verdict import (
     Truth,
     Verdict,
     _set,
+    forced,
     no,
     unknown_fact,
     yes,
@@ -66,7 +67,8 @@ _YES_17E, _NO_17E = yes("Thm1.7e"), no("Thm1.7e")
 def _resolve(d: SphereClassDescriptor):
     """The facts homotopic, in_suspension, stable_nonzero and
     hopf_james_nonzero after the derivations of Thm 1.7, and the degree
-    gap |d1 - d2| for m = n = 1 (else None)."""
+    gap |d1 - d2| for m = n = 1 (else None); a descriptor that contradicts
+    a forced fact raises DescriptorError."""
     if d.degrees is not None:
         d1, d2 = d.degrees
         antipodal_degree = (-1) ** (d.n + 1)
@@ -87,14 +89,11 @@ def _resolve(d: SphereClassDescriptor):
     stable = d.stable_suspension_nonzero
     hopf_james = d.some_stable_hopf_james_nonzero
     if stable.is_yes():
-        if hopf_james.is_no():
-            raise DescriptorError(
-                "stable_suspension_nonzero = yes forces "
-                "some_stable_hopf_james_nonzero = yes (the stabilized "
-                "suspension is the first Hopf-James invariant)"
-            )
-        if hopf_james.is_unknown():
-            hopf_james = _YES_17E
+        hopf_james = forced(
+            hopf_james, _YES_17E,
+            "stable_suspension_nonzero = yes forces "
+            "some_stable_hopf_james_nonzero = yes (the stabilized "
+            "suspension is the first Hopf-James invariant)")
     return homotopic, d.in_suspension_image, stable, hopf_james, None
 
 

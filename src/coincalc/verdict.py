@@ -138,6 +138,15 @@ def rule_facts(rule_id: str) -> dict[Truth, Fact]:
     return {t: Fact(t, rule_id) for t in Truth}
 
 
+def forced(fact: Fact, derived: Fact, message: str) -> Fact:
+    """A fact that the setting forces to hold: ``fact`` when it is Yes,
+    ``derived`` when it is Unknown; a No contradicts the setting and raises
+    DescriptorError(message)."""
+    if fact.truth is Truth.NO:
+        raise DescriptorError(message)
+    return derived if fact.truth is Truth.UNKNOWN else fact
+
+
 class Special(enum.Enum):
     INFINITE = "infinite"
     UNKNOWN = "unknown"

@@ -122,11 +122,11 @@ def _clash(fired: list[tuple[str, Truth]]) -> str | None:
     return None
 
 
-def overlap_disagreements(limit: int = 64) -> list[str]:
-    """Scan the (m, n) grid for overlapping rules that disagree."""
+def overlap_disagreements() -> list[str]:
+    """Scan the (m, n) grid up to 64 for overlapping rules that disagree."""
     problems = []
-    for n in range(1, limit + 1):
-        for m in range(1, limit + 1):
+    for n in range(1, 65):
+        for m in range(1, 65):
             q = WeckenQuery(m, n, TargetFamily.SPHERE)
             clash = _clash(_rules_fired(q))
             if clash:

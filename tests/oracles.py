@@ -1,9 +1,11 @@
 """Test oracles for the lattice layer, independent of the Smith reduction.
 
-Determinants come from cofactor expansion, ranks from minors, and the
-order of a cokernel from counting cosets by enumeration and union-find, or
-from the gcd of every maximal minor.  Only sensible at desk scale; no
-answer runs any of this.
+Determinants come from cofactor expansion or from this module's own
+fraction-free elimination, ranks from minors, and the order of a cokernel
+from counting cosets by enumeration and union-find, or from the gcd of
+every maximal minor.  No oracle calls a kernel of the lattice layer, so
+none shares the code it checks.  Only sensible at desk scale; no answer
+runs any of this.
 """
 
 import itertools
@@ -11,7 +13,7 @@ from collections import deque
 from math import gcd
 
 from coincalc.errors import DescriptorError
-from coincalc.lattice import IntMatrix, _det
+from coincalc.lattice import IntMatrix
 from coincalc.verdict import INFINITE, ExtNat
 
 # the oracle enumerates one coset representative per element of a finite
@@ -63,12 +65,36 @@ def _det_rows(rows: list[list[int]]) -> int:
     return total
 
 
+def det_bareiss(rows: list[list[int]]) -> int:
+    """Exact determinant of a square list of rows by Bareiss's
+    fraction-free elimination: a zero pivot is swapped for the first
+    nonzero entry below it, and each entry of the trailing block becomes
+    (a[i][j] * pivot - a[i][k] * a[k][j]) // (the previous pivot), an exact
+    division.  The caller's rows are left as they are."""
+    a = [list(row) for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, top = a[k][k], a[k]
+        for i in range(k + 1, n):
+            row, lead = a[i], a[i][k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return sign * a[-1][-1]
+
+
 def maximal_minor_gcd(m: IntMatrix) -> int:
-    """The gcd of |``lattice._det``| over every rows-subset of the columns
+    """The gcd of |``det_bareiss``| over every rows-subset of the columns
     of ``m``: the order of its cokernel, or 0 when that is infinite (below
     full row rank, and always when cols < rows)."""
     rows = m.to_rows()
-    return gcd(*(_det([[row[j] for j in cols] for row in rows])
+    return gcd(*(det_bareiss([[row[j] for j in cols] for row in rows])
                  for cols in itertools.combinations(range(m.cols), m.rows)))
 
 
@@ -79,7 +105,8 @@ def invariant_factors_by_minors(m: IntMatrix) -> tuple[int, ...]:
     rows = m.to_rows()
     factors, prev = [], 1
     for k in range(1, min(m.rows, m.cols) + 1):
-        dk = gcd(*(_det([[rows[i][j] for j in cols] for i in row_idx])
+        dk = gcd(*(det_bareiss([[rows[i][j] for j in cols]
+                                for i in row_idx])
                    for row_idx in itertools.combinations(range(m.rows), k)
                    for cols in itertools.combinations(range(m.cols), k)))
         if not dk:

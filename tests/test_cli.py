@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coincalc import IntMatrix
+from coincalc import IntMatrix, get_factbase
 from coincalc.cli import (
     QueryError,
     _build_parser,
@@ -113,6 +113,73 @@ def test_batch_tolerates_bad_query(tmp_path):
     assert "error" in answers[1]
     assert "'r'" not in answers[1]["error"]  # message names the field...
     assert "k" in answers[1]["error"]
+
+
+# each fact a setting forces, each pair of facts that must agree, and the
+# sphere class that must vanish, with the error answer run_batch writes
+CONTRADICTIONS = [
+    ("spaceform", {"m": 7, "n": 3, "group_order": 2, "del_zero": "no"},
+     "odd n: the target has zero Euler characteristic, so the boundary "
+     "class vanishes; del_zero cannot be no"),
+    ("spaceform", {"m": 1, "n": 4, "group_order": 2, "del_zero": "no"},
+     "m = 1 or m < n: the boundary class is forced to vanish; del_zero "
+     "cannot be no"),
+    ("spaceform", {"m": 9, "n": 4, "group_order": 2, "del_zero": "yes",
+                   "e_del_zero": "no"},
+     "del_zero = yes forces e_del_zero = yes (suspension of 0)"),
+    ("spaceform", {"m": 2, "n": 4, "group_order": 2, "homotopic": "no"},
+     "2 <= m < n: every map is nullhomotopic, so the pair is homotopic; "
+     "homotopic cannot be no"),
+    ("spaceform", {"m": 9, "n": 4, "group_order": 2, "homotopic": "yes",
+                   "in_psE_image": "no"},
+     "homotopic maps have vanishing class difference, which lies in every "
+     "subgroup: in_psE_image cannot be no"),
+    ("sphere", {"m": 5, "n": 3, "f1_homotopic_a_f2": "no",
+                "stable_suspension_nonzero": "yes",
+                "some_stable_hopf_james_nonzero": "no"},
+     "stable_suspension_nonzero = yes forces some_stable_hopf_james_nonzero "
+     "= yes (the stabilized suspension is the first Hopf-James invariant)"),
+    ("projective", {"field": "C", "n_prime": 2, "m": 5,
+                    "lift2_in_ker_del": "yes", "lift2_in_ker_Edel": "no"},
+     "lift2_in_ker_del = yes forces lift2_in_ker_Edel = yes (the kernel of "
+     "the boundary sits inside the kernel of its suspension)"),
+    ("projective", {"field": "R", "n_prime": 2, "m": 3,
+                    "lift2_antipodal_selfhomotopic": "yes",
+                    "lift2_in_ker_Edel": "no"},
+     "lift2_antipodal_selfhomotopic and lift2_in_ker_Edel must agree"),
+    ("projective", {"field": "H", "n_prime": 2, "m": 3,
+                    "lifts_equal": "yes", "fprime_homotopic": "no"},
+     "lifts_equal and fprime_homotopic must agree"),
+    ("sphere", {"m": 2, "n": 3},
+     "for m < n (and for n = 1 < m) the difference class is forced to "
+     "vanish: f1_homotopic_a_f2 must be yes"),
+]
+
+
+def test_batch_writes_each_contradiction_message():
+    queries = [{"id": i, "family": family, "payload": payload}
+               for i, (family, payload, _) in enumerate(CONTRADICTIONS)]
+    version = get_factbase().version
+    assert run_batch(queries) == [
+        {"id": i, "factbase_version": version, "invariants": {},
+         "warnings": [], "error": message}
+        for i, (_, _, message) in enumerate(CONTRADICTIONS)]
+
+
+@pytest.mark.parametrize("command", ["query", "batch"])
+def test_null_hopf_mod4_is_input_error(tmp_path, command):
+    query = {"id": "h", "family": "spaceform", "payload": {
+        "m": 11, "n": 6, "group_order": 2, "hopf_mod4": None}}
+    message = "spaceform payload: field 'hopf_mod4' must be an integer"
+    path = tmp_path / "query.json"
+    path.write_text(json.dumps(query if command == "query" else [query]))
+    result = run_cli(command, str(path))
+    if command == "query":
+        assert result.returncode == 2
+        assert result.stderr == f"input error: {message}\n"
+    else:  # the batch answers the query with an error answer
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)[0]["error"] == message
 
 
 def test_schema_errors_name_the_field(tmp_path):

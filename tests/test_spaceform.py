@@ -15,7 +15,7 @@ from coincalc import (
     validate_bundle,
     wecken_condition,
 )
-from coincalc.spaceform import resolve
+from coincalc.spaceform import _resolve
 from coincalc.wecken import TargetFamily, WeckenQuery
 
 
@@ -115,7 +115,7 @@ def test_weaker_nielsen_numbers_stay_open():
 
 def test_chain_all_yes():
     d = descriptor(9, 5, 3, hom="yes", dz="yes")
-    assert resolve(d).e_del_zero.is_yes()  # (i) => (v)
+    assert _resolve(d)[2].is_yes()  # (i) => (v): e_del_zero
     b = spaceform_pair_invariants(d)
     assert b.mcc.value == b.n_sharp.value == 0  # (iii) and (iv)
     assert b.mc.value == 0
@@ -154,19 +154,22 @@ def test_resolve_builds_no_second_validated_descriptor(monkeypatch):
     cases = [descriptor(7, 3, 5, hom="no"), descriptor(3, 5, 4),
              descriptor(11, 6, 2, hom="yes", dz="no", edz="yes"),
              descriptor(9, 4, 2, edz="no", hopf_mod4=2)]
+    # (homotopic, del_zero, e_del_zero, in_psE_image) after resolving, as
+    # (truth, rule id); "" marks the fact as the descriptor gave it
+    resolved = [
+        (("no", ""), ("yes", "Thm1.15"), ("yes", "Thm1.15"),
+         ("unknown", "")),                                       # odd n
+        (("yes", "Thm1.10"), ("yes", "Thm1.15"), ("yes", "Thm1.15"),
+         ("yes", "Prop4.3")),                                    # m < n
+        (("yes", ""), ("no", ""), ("yes", ""), ("yes", "Prop4.3")),
+        (("unknown", ""), ("no", "Thm1.15"), ("no", ""),
+         ("unknown", "")),                  # the contrapositive of (i) => (v)
+    ]
     assert len(built) == len(cases)
-    for d in cases:
-        before = len(built)
-        resolved = resolve(d)
+    for d, facts in zip(cases, resolved):
+        assert [(f.truth.value, f.rule) for f in _resolve(d)] == list(facts)
         spaceform_pair_invariants(d)  # odd n: _spaceform_mc for MC too
-        assert len(built) == before  # validated once, when built
-        # the copy holds d's checked fields and passes the checks itself
-        assert resolved == SpaceFormPairDescriptor(*resolved._values)
-        assert resolved._values[:3] == d._values[:3]
-        assert (resolved.kervaire_one, resolved.hopf_mod4) == (
-            d.kervaire_one, d.hopf_mod4)
-    assert resolve(cases[1]).del_zero.rule == "Thm1.15"  # odd n
-    assert resolve(cases[1]).homotopic.rule == "Thm1.10"  # m < n
+        assert len(built) == len(cases)  # validated once, when built
 
 
 def test_chain_collapses_for_larger_groups():

@@ -17,7 +17,14 @@ from coincalc import (
     validate_bundle,
 )
 from coincalc.cli import QueryError, _fact
-from coincalc.verdict import ALL_FIELDS, CHAIN_FIELDS, ext_le, truth_and
+from coincalc.verdict import (
+    ALL_FIELDS,
+    CHAIN_FIELDS,
+    ext_le,
+    forced,
+    truth_and,
+    yes,
+)
 
 
 def test_kleene_conjunction_algebra():
@@ -27,6 +34,16 @@ def test_kleene_conjunction_algebra():
         assert truth_and(a, a) is a
     for a, b, c in itertools.product(values, repeat=3):
         assert truth_and(truth_and(a, b), c) is truth_and(a, truth_and(b, c))
+
+
+def test_forced_keeps_yes_fills_unknown_and_rejects_no():
+    derived = yes("Thm1.15")
+    given = user_fact("yes")
+    assert forced(given, derived, "never raised") is given
+    assert forced(user_fact("unknown"), derived, "never raised") is derived
+    with pytest.raises(DescriptorError) as raised:
+        forced(user_fact("no"), derived, "del_zero cannot be no")
+    assert str(raised.value) == "del_zero cannot be no"
 
 
 def test_fact_provenance_required():
