@@ -347,8 +347,8 @@ class _Trace(list):
 
 class _Entry(dict):
     """A read-only verdict {"value": ..., "trace": _Trace} of an answer; its
-    copies are plain.  A shared entry's ``texts`` map each template's line
-    prefix to its text; a one-off entry's are empty."""
+    copies are plain.  Its ``texts`` map the line prefix of each template
+    it has been written with to its text."""
 
     __slots__ = ("texts",)
     __init__ = __setitem__ = __delitem__ = __ior__ = _refuse
@@ -361,8 +361,8 @@ class _Entry(dict):
 def _entry(value, trace: tuple) -> _Entry:
     """The entry of value, a str or an int >= 0, and trace, a tuple of rule
     ids.  Answers share a few hundred: _ENTRIES keeps the entry of a str or
-    an int below _SMALL_INT, with its texts, while it holds fewer than
-    _VERDICT_CAP (threads may each add one more) and the texts are short."""
+    an int below _SMALL_INT while it holds fewer than _VERDICT_CAP (threads
+    may each add one more)."""
     small = type(value) is str or value < _SMALL_INT
     entry = _ENTRIES.get((value, trace)) if small else None
     if entry is None:
@@ -371,17 +371,13 @@ def _entry(value, trace: tuple) -> _Entry:
         dict.update(entry, value=value, trace=listed)
         entry.texts = {}
         if small and len(_ENTRIES) < _VERDICT_CAP:
-            texts = {t.item: _text(value, trace, t.item)
-                     for t in (_SINGLE, _ITEM)}
-            if len(texts[_ITEM.item]) <= _VERDICT_CHARS:  # the longer one
-                entry.texts, _ENTRIES[value, trace] = texts, entry
+            _ENTRIES[value, trace] = entry
     return entry
 
 
 _escape = json.encoder.encode_basestring_ascii
 _FIELD_SET = frozenset(_FIELD_NAMES)
 _VERDICT_CAP = 1024  # entries in _ENTRIES
-_VERDICT_CHARS = 512  # the longest verdict text kept
 _SMALL_INT = 100  # int values below this share their entries
 _SPLIT_BITS = 6_000  # about 1,800 digits: longer ints are written in pieces
 _ENTRIES: dict[tuple, _Entry] = {}  # (value, trace) -> the shared entry
@@ -468,7 +464,7 @@ def _answer(a, t: _Template, out: list) -> bool:
     if (type(version) is not str or type(invariants) is not dict
             or type(warnings) is not list):
         return False
-    mark, written, item = len(out), {}, t.item
+    mark, item = len(out), t.item
     out += (t.head, _escape(version), t.id,
             _escape(qid) if type(qid) is str else _write(qid, t.inner),
             t.invariants)
@@ -480,10 +476,9 @@ def _answer(a, t: _Template, out: list) -> bool:
         if type(v) is not _Entry:
             del out[mark:]
             return False
-        # a one-off entry is written once per answer
-        text = v.texts.get(item) or written.get(id(v))
+        text = v.texts.get(item)
         if text is None:
-            text = written[id(v)] = _text(v["value"], v["trace"], item)
+            text = v.texts[item] = _text(v["value"], v["trace"], item)
         out += head, text
     out += (t.close if invariants else "{}", t.warnings,
             _write(warnings, t.inner) if warnings else "[]", t.end)
@@ -541,8 +536,8 @@ def _dump(obj) -> str:
 
     An answer of run_query, alone or as an item of a list, is filled into
     the template of its indent: its id and fact-base version are escaped,
-    an entry's text is read from it or written once per answer (a torus
-    answer repeats its |det| up to seven times), and its warnings are
+    an entry's text is written on its first use and read from it after (a
+    torus answer repeats its |det| up to seven times), and its warnings are
     written by ``_write``.  ``_write`` writes everything else: error
     answers, near misses, and answers whose verdicts are plain dicts, such
     as a caller's or those of ``json.loads`` of earlier output.
@@ -619,6 +614,22 @@ def _load_json(path: str):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "factbase":  # FILE alone, never NIELSEN_FACTBASE
+        try:
+            problems = lint_text(read_text(args.file))
+        except OSError as exc:
+            print(f"cannot read {args.file}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
+        except FactBaseError as exc:
+            problems = exc.locations
+        if problems:
+            for line, message in problems:
+                where = f"{args.file}:{line}" if line else args.file
+                print(f"{where}: {message}", file=sys.stderr)
+            return 2
+        print(f"{args.file}: clean")
+        return 0
     try:
         try:
             set_factbase(FactBase.load())
@@ -634,22 +645,6 @@ def main(argv=None) -> int:
             if not isinstance(queries, list):
                 raise QueryError("a batch file must hold a JSON array")
             sys.stdout.write(_dump(run_batch(queries)))
-            return 0
-        if args.command == "factbase":
-            try:
-                problems = lint_text(read_text(args.file))
-            except OSError as exc:
-                print(f"cannot read {args.file}: {exc.strerror}",
-                      file=sys.stderr)
-                return 2
-            except FactBaseError as exc:
-                problems = exc.locations
-            if problems:
-                for line, message in problems:
-                    where = f"{args.file}:{line}" if line else args.file
-                    print(f"{where}: {message}", file=sys.stderr)
-                return 2
-            print(f"{args.file}: clean")
             return 0
         if args.command == "query":
             query = _load_json(args.file)

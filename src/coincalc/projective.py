@@ -1,10 +1,10 @@
 """The seven-case decision table for pairs S^m -> KP(n').
 
 K is the real, complex or quaternionic field (d = 1, 2, 4); the descriptor
-facts speak about the canonical lifted classes.  Exactly one of the seven
-conditions holds for a consistent, fully determined descriptor; the engine
-rejects contradictions naming the clashing rows and answers Unknown while
-the discriminating facts are unknown.
+facts speak about the canonical lifted classes.  The resolver rejects every
+contradiction, naming the clashing facts, so the table never sees one: at
+most one of the seven conditions holds, and one does once the facts they
+read are known.  The engine answers Unknown while they are not.
 """
 
 from __future__ import annotations
@@ -128,8 +128,6 @@ def _resolve(d: ProjectivePairDescriptor):
         # downstairs homotopy is equivalent to equality of the lifts
         lifts_equal, fprime = _sync("lifts_equal", lifts_equal,
                                     "fprime_homotopic", fprime)
-    if ked.is_no() and kd.is_unknown():
-        kd = _NO_45  # contrapositive
     return fprime, kd, ked, anti, lifts_equal
 
 
@@ -153,22 +151,15 @@ def _row_conditions(d: ProjectivePairDescriptor) -> dict[int, Truth]:
 
 
 def projective_classify(d: ProjectivePairDescriptor):
-    """The unique matching row 1..7, or Special.UNKNOWN while the
-    discriminating facts are unknown."""
-    conds = _row_conditions(d)
-    matches = [row for row, t in conds.items() if t is Truth.YES]
-    if len(matches) > 1:
-        raise DescriptorError(
-            "contradictory facts: descriptor claims rows "
-            + " and ".join(str(r) for r in matches)
-        )
-    if len(matches) == 1:
-        return matches[0]
-    if any(t is Truth.UNKNOWN for t in conds.values()):
-        return UNKNOWN
-    raise DescriptorError(
-        "contradictory facts: no row of the seven-case table matches"
-    )
+    """The matching row 1..7, or Special.UNKNOWN while the discriminating
+    facts are unknown.  The row conditions of resolved facts are pairwise
+    exclusive and one of them holds once the facts it reads are known, so
+    the first row that holds is the only one (tests/test_projective.py
+    checks this over every fact assignment)."""
+    for row, truth in _row_conditions(d).items():
+        if truth is Truth.YES:
+            return row
+    return UNKNOWN
 
 
 # (N#, MCC, MC) per row; None marks an infinite MC

@@ -79,8 +79,7 @@ class SpaceFormPairDescriptor(Record):
                 )
 
 
-_THM115 = rule_facts("Thm1.15")
-_YES_115, _NO_115 = _THM115[Truth.YES], _THM115[Truth.NO]
+_YES_115 = yes("Thm1.15")
 _YES_110 = yes("Thm1.10")
 _YES_43 = yes("Prop4.3")
 
@@ -107,8 +106,6 @@ def _resolve(d: SpaceFormPairDescriptor) -> tuple[Fact, Fact, Fact, Fact]:
         e_del = forced(
             e_del, _YES_115,
             "del_zero = yes forces e_del_zero = yes (suspension of 0)")
-    if e_del.is_no() and del_zero.is_unknown():
-        del_zero = _NO_115  # contrapositive
 
     homotopic = d.homotopic
     if 2 <= d.m < d.n:
@@ -207,7 +204,6 @@ def spaceform_pair_invariants(d: SpaceFormPairDescriptor) -> InvariantBundle:
 
 
 _MC_INFINITE_43 = Verdict.infinite(("Prop4.3",))
-_MC_ZERO_43 = Verdict.finite(0, ("Prop4.3",))
 _MC_NEEDS_IMAGE = Verdict.unknown(("Prop4.3", "needs:in_psE_image"))
 _MC_NEEDS_HOMOTOPIC = Verdict.unknown(("Prop4.3", "needs:homotopic"))
 
@@ -215,13 +211,12 @@ _MC_NEEDS_HOMOTOPIC = Verdict.unknown(("Prop4.3", "needs:homotopic"))
 def _spaceform_mc(d: SpaceFormPairDescriptor, homotopic: Fact,
                   in_image: Fact) -> Verdict:
     """MC of a pair not known to be homotopic, from its resolved facts
-    homotopic and in_psE_image, with odd n >= 3 and m >= 2 (Prop4.3):
-    infinite outside the suspension-projection image, 0 for m < n, the
-    group order otherwise."""
+    homotopic and in_psE_image, with odd n >= 3 and m >= n (Prop4.3):
+    infinite outside the suspension-projection image, the group order for
+    a nonhomotopic pair inside it.  The resolver forces homotopic for
+    2 <= m < n, so no smaller m reaches here."""
     if in_image.is_no():
         return _MC_INFINITE_43
-    if d.m < d.n:
-        return _MC_ZERO_43
     if in_image.is_unknown():
         return _MC_NEEDS_IMAGE
     if homotopic.is_no():

@@ -138,7 +138,7 @@ def sphere_invariants(d: SphereClassDescriptor) -> InvariantBundle:
 
     # MCC = N#
     if m == n == 1:
-        mcc = Verdict.finite(abs(d.degrees[0] - d.degrees[1]), ("Thm1.7c",))
+        mcc = Verdict.finite(gap, ("Thm1.7c",))
     elif hom is Truth.YES:
         mcc = _MCC_ZERO
     elif hom is Truth.NO:
@@ -150,7 +150,7 @@ def sphere_invariants(d: SphereClassDescriptor) -> InvariantBundle:
 
     # MC
     if m == n == 1:
-        mc = Verdict.finite(abs(d.degrees[0] - d.degrees[1]), ("Thm1.7b",))
+        mc = Verdict.finite(gap, ("Thm1.7b",))
     elif hom is Truth.YES:
         mc = _MC_ZERO
     elif hom is Truth.UNKNOWN:

@@ -1,4 +1,5 @@
-"""Every answer of seeds 1-3 of each perfbench workload, pinned by digest.
+"""Every answer of seeds 1-3 of each perfbench workload, and every answer
+of a fixed fact grid, pinned by digest.
 
 For each workload and seed, one round of queries is answered twice: as one
 batch, whose written text ``_dump(run_batch(round))`` is hashed, and one
@@ -8,17 +9,24 @@ of these rounds fails here; a change that alters answers on purpose
 updates the pins and says which answers changed.  The workload generators
 are imported from perfbench and only read.
 
+The fact grid (``grid_queries``) crosses the dimensions of the sphere,
+space-form and projective engines with every yes/no/unknown assignment of
+their facts, about 87,000 queries; one SHA-256 over each answer's text, or
+its DescriptorError message, is pinned in GRID_DIGEST.
+
 Print the digests of the current code in the form pinned below:
 
     PYTHONPATH=src python tests/test_answer_digests.py
 """
 
 import hashlib
+import itertools
 import sys
 from pathlib import Path
 
 import pytest
 
+from coincalc import DescriptorError
 from coincalc.cli import _dump, run_batch, run_query
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,6 +62,62 @@ DIGESTS = {
         "b25cec7e4fde594e9f5faf0db8e2b2447cdfd7629bf7a344467f0c67fffee2d6"),
 }
 
+GRID_DIGEST = (
+    "a05bed99547dbd06b4590e8b0e03e610862c10e759d9d5819c3635ee6289ea47")
+
+FACTS = ("yes", "no", "unknown")
+SPHERE_FACTS = ("f1_homotopic_a_f2", "in_suspension_image",
+                "stable_suspension_nonzero", "some_stable_hopf_james_nonzero")
+SPACEFORM_FACTS = ("homotopic", "del_zero", "e_del_zero", "in_psE_image")
+PROJECTIVE_FACTS = ("fprime_homotopic", "lift2_in_ker_del",
+                    "lift2_in_ker_Edel", "lift2_antipodal_selfhomotopic",
+                    "lifts_differ_by_suspension", "lifts_equal")
+
+
+def _assignments(names):
+    return [dict(zip(names, values))
+            for values in itertools.product(FACTS, repeat=len(names))]
+
+
+def grid_queries():
+    """The fact grid, in a fixed order: space form over m 1-10, 30, 31,
+    n 1-7, 16, group orders 1-3 and hopf_mod4 omitted, 0 or 2; projective
+    over the three fields at (n', m) = (3, 8); sphere over m, n 1-6, with
+    both degrees in -2..2 at m = n.  Each crosses all its facts."""
+    space_form = _assignments(SPACEFORM_FACTS)
+    for m, n, order, hopf in itertools.product(
+            (*range(1, 11), 30, 31), (*range(1, 8), 16), (1, 2, 3),
+            (None, 0, 2)):
+        base = {"m": m, "n": n, "group_order": order}
+        if hopf is not None:
+            base["hopf_mod4"] = hopf
+        for facts in space_form:
+            yield {"family": "spaceform", "payload": {**base, **facts}}
+    for field, facts in itertools.product(
+            ("R", "C", "H"), _assignments(PROJECTIVE_FACTS)):
+        yield {"family": "projective",
+               "payload": {"field": field, "n_prime": 3, "m": 8, **facts}}
+    sphere = _assignments(SPHERE_FACTS)
+    for m, n in itertools.product(range(1, 7), repeat=2):
+        degrees = (itertools.product(range(-2, 3), repeat=2) if m == n
+                   else [None])
+        for pair, facts in itertools.product(degrees, sphere):
+            payload = {"m": m, "n": n, **facts}
+            if pair is not None:
+                payload["degrees"] = list(pair)
+            yield {"family": "sphere", "payload": payload}
+
+
+def grid_digest() -> str:
+    digest = hashlib.sha256()
+    for query in grid_queries():
+        try:
+            text = _dump(run_query(query))
+        except DescriptorError as exc:
+            text = f"error: {exc}\n"
+        digest.update(text.encode())
+    return digest.hexdigest()
+
 
 def workload_round(name: str, seed: int) -> list[dict]:
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -76,8 +140,13 @@ def test_workload_answers_are_unchanged(name, seed):
     assert digests(workload_round(name, seed)) == DIGESTS[name, seed]
 
 
+def test_fact_grid_answers_are_unchanged():
+    assert grid_digest() == GRID_DIGEST
+
+
 if __name__ == "__main__":
     for name, seed in DIGESTS:
         batch, one_at_a_time = digests(workload_round(name, seed))
         print(f'    ({name!r}, {seed}): (\n        "{batch}",\n'
               f'        "{one_at_a_time}"),')
+    print(f'GRID_DIGEST = "{grid_digest()}"')

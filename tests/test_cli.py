@@ -544,12 +544,15 @@ def test_dump_caches_stay_bounded(monkeypatch):
     monkeypatch.setattr(cli, "_ENTRIES", {})
     query = {"id": "x", "family": "stiefel", "payload": {"r": 7, "k": 3}}
     stiefel = run_query(query)
-    # an answer's entries are shared, each with its text at the line prefix
-    # of each template, and the next identical answer holds the same ones
+    # an answer's entries are shared, each keeping its text at the line
+    # prefix of each template it was written with, and the next identical
+    # answer holds the same ones
     entries = list(stiefel["invariants"].values())
     assert all(cli._ENTRIES[e["value"], tuple(e["trace"])] is e
                for e in entries)
-    assert all(set(e.texts) == {"\n    ", "\n      "} for e in entries)
+    assert all(e.texts == {} for e in entries)
+    _dump([stiefel])
+    assert all(set(e.texts) == {"\n      "} for e in entries)
     assert all(e is f for e, f in zip(
         entries, run_query(query)["invariants"].values()))
     kept = len(cli._ENTRIES)
@@ -569,22 +572,24 @@ def test_dump_caches_stay_bounded(monkeypatch):
         assert _dump(value if i % 2 else [value]) == reference_dump(
             value if i % 2 else [value])
         assert sys.get_int_max_str_digits() == limit
-        assert made[1].texts == {}  # a one-off entry keeps no text
+        # a one-off entry keeps the one text it was written with
+        prefix = "\n    " if i % 2 else "\n      "
+        assert made[1].texts == {prefix: cli._text(big, trace, prefix)}
     with pytest.raises(TypeError):
         _dump(answer({}, qid=object()))
     assert sys.get_int_max_str_digits() == limit
 
     assert len(cli._ENTRIES) == cli._VERDICT_CAP  # filled, not past
     # keyed on a str or small-int value, never a per-query one, and a trace
-    # of strings; each entry keeps its two texts, none of them long
+    # of strings; each entry keeps at most its two texts, as written
     for (value, trace), entry in cli._ENTRIES.items():
         assert type(value) is str or (type(value) is int
                                       and 0 <= value < cli._SMALL_INT)
         assert type(trace) is tuple and all(type(x) is str for x in trace)
         assert entry == {"value": value, "trace": list(trace)}
-        assert set(entry.texts) == {"\n    ", "\n      "}
-        assert all(len(text) <= cli._VERDICT_CHARS
-                   for text in entry.texts.values())
+        assert set(entry.texts) <= {"\n    ", "\n      "}
+        assert all(text == cli._text(value, trace, prefix)
+                   for prefix, text in entry.texts.items())
     # a value of _SMALL_INT or more is never shared, not even before the
     # cache is full
     cli._ENTRIES.clear()
@@ -675,8 +680,8 @@ def test_answers_are_read_only():
 
 
 def test_fields_holding_one_verdict_share_its_entry(monkeypatch):
-    # and a one-off entry, of a value past _SMALL_INT, is written once per
-    # answer and keeps no text after it
+    # and a one-off entry, of a value past _SMALL_INT, is written once for
+    # each template and keeps its text after it
     from itertools import combinations
     from coincalc import cli
     queries = json.loads((DATA / "golden_queries.json").read_text())
@@ -708,9 +713,12 @@ def test_fields_holding_one_verdict_share_its_entry(monkeypatch):
         for value in (answer, [answer, answer]):
             written.clear()
             assert _dump(value) == reference_dump(value)
+            # once for each template: the answer's second copy in the list
+            # reads the text its first copy wrote
             big = [x for x in written if x >= cli._SMALL_INT]
-            assert len(big) == distinct * (1 if value is answer else 2)
-            assert all(e.texts == {} for e in one_offs.values())
+            assert len(big) == distinct
+            prefix = "\n    " if value is answer else "\n      "
+            assert all(prefix in e.texts for e in one_offs.values())
 
 
 @pytest.mark.parametrize("rows, m, n", [
@@ -802,7 +810,9 @@ def test_factbase_lint_shipped():
     assert "clean" in result.stdout
 
 
-def test_factbase_lint_broken(tmp_path):
+def _broken_factbase(tmp_path) -> Path:
+    """The shipped fact base, one entry a line, with an order of 7 for
+    k = 3, which the linter rejects."""
     from coincalc.tables import FactBase
     doc = json.loads(Path(FactBase.bundled_path()).read_text())
     for e in doc["framed_so"]:
@@ -816,10 +826,36 @@ def test_factbase_lint_broken(tmp_path):
         lines.append(f'  "{section}": [\n{body}\n  ]{tail}')
     lines.append("}")
     path.write_text("\n".join(lines))
+    return path
+
+
+def test_factbase_lint_broken(tmp_path):
+    path = _broken_factbase(tmp_path)
     result = run_cli("factbase", "lint", str(path))
     assert result.returncode == 2
     assert "divide 24" in result.stderr
     assert f"{path}:" in result.stderr  # line-precise location
+
+
+def test_factbase_lint_reports_a_file_also_set_as_the_fact_base(tmp_path):
+    # lint reads only its file: a broken NIELSEN_FACTBASE is linted, not
+    # refused as the fact base queries would read
+    path = _broken_factbase(tmp_path)
+    result = run_cli("factbase", "lint", str(path),
+                     env_extra={"NIELSEN_FACTBASE": str(path)})
+    assert result.returncode == 2
+    assert "divide 24" in result.stderr
+    assert f"{path}:" in result.stderr
+    assert "rejected" not in result.stderr
+
+
+def test_factbase_lint_ignores_an_unreadable_fact_base(tmp_path):
+    from coincalc.tables import FactBase
+    bundled = FactBase.bundled_path()
+    result = run_cli("factbase", "lint", bundled, env_extra={
+        "NIELSEN_FACTBASE": str(tmp_path / "missing.json")})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"{bundled}: clean\n"
 
 
 def test_corrupt_factbase_is_internal_failure(tmp_path):
@@ -916,8 +952,9 @@ def test_golden_corpus_bytes_without_sharing(monkeypatch):
     assert [_dump(a) for a in answers] == [
         reference_dump(a) for a in json.loads(expected)]
     assert cli._ENTRIES == {}
-    assert all(e.texts == {} for a in answers
-               for e in a["invariants"].values())
+    # each one-off entry keeps the texts it was written with, and only them
+    assert all(set(e.texts) == {"\n    ", "\n      "}
+               for a in answers for e in a["invariants"].values())
 
 
 def test_golden_answers_one_at_a_time():

@@ -7,6 +7,7 @@ from coincalc import (
     INFINITE,
     ProjectiveField,
     ProjectivePairDescriptor,
+    Truth,
     UNKNOWN,
     del_vanishes_by_dimension,
     projective_classify,
@@ -122,6 +123,32 @@ def test_exactly_one_row_matches_every_consistent_assignment():
         for facts in _consistent_complex_assignments():
             row = projective_classify(descriptor(field, **facts))
             assert row in (1, 2, 6, 7), facts
+
+
+def test_row_conditions_never_overlap_or_leave_a_gap():
+    # over every field and every yes/no/unknown assignment of the six facts
+    # that the resolver accepts: at most one row holds, and when none does,
+    # some condition is still unknown, so projective_classify's first
+    # matching row is the only one and its Unknown is honest
+    from coincalc.projective import _row_conditions
+    accepted = 0
+    for field in (R, C, H):
+        for values in itertools.product(("yes", "no", "unknown"),
+                                        repeat=len(FACT_FIELDS)):
+            d = descriptor(field, **dict(zip(FACT_FIELDS, values)))
+            try:
+                conds = _row_conditions(d)
+            except DescriptorError:
+                continue
+            accepted += 1
+            holds = [row for row, t in conds.items() if t is Truth.YES]
+            assert len(holds) <= 1, (field, values, holds)
+            if holds:
+                assert projective_classify(d) == holds[0]
+            else:
+                assert Truth.UNKNOWN in conds.values(), (field, values)
+                assert projective_classify(d) is UNKNOWN
+    assert 0 < accepted < 3 * 3 ** len(FACT_FIELDS)
 
 
 def test_row_values_ordered_and_valid():

@@ -162,8 +162,8 @@ def test_resolve_builds_no_second_validated_descriptor(monkeypatch):
         (("yes", "Thm1.10"), ("yes", "Thm1.15"), ("yes", "Thm1.15"),
          ("yes", "Prop4.3")),                                    # m < n
         (("yes", ""), ("no", ""), ("yes", ""), ("yes", "Prop4.3")),
-        (("unknown", ""), ("no", "Thm1.15"), ("no", ""),
-         ("unknown", "")),                  # the contrapositive of (i) => (v)
+        (("unknown", ""), ("unknown", ""), ("no", ""),
+         ("unknown", "")),            # no answer reads a derived del_zero no
     ]
     assert len(built) == len(cases)
     for d, facts in zip(cases, resolved):
