@@ -16,10 +16,10 @@ and of the maximal-minor gcd of the rows divided by them.
 maximal minors, whose gcd g is a multiple of the answer, and the answer
 itself when the last pivot minor is prime to g.  Otherwise, since by
 Sylvester's identity each block of the elimination is its pivot minor
-times a Schur complement, a Smith reduction modulo g (``_smith_mod``),
-whose entries never outgrow it, runs on the latest block of the last few
-whose pivot minor is prime to g, and on the whole matrix only when none
-is.
+times a Schur complement, one sweep of column operations modulo g
+(``_order_mod``), whose entries never outgrow it, reads the answer off the
+latest block of the last few whose pivot minor is prime to g, and off the
+whole matrix only when none is.
 
 ``smith_normal_form`` runs the gcd-pivot elimination ``_reduce`` with the
 U and V transforms, so the factorization D = U * A * V is returned and can
@@ -45,7 +45,7 @@ _INT_ONLY = frozenset({int})
 _count_zeros = methodcaller("count", 0)
 
 # how many steps back from its last one _wide_order keeps the blocks of its
-# elimination, on which _smith_mod may run
+# elimination, on which _order_mod may run
 _WINDOW = 4
 
 
@@ -215,78 +215,59 @@ def smith_normal_form(a: IntMatrix) -> SmithNormalForm:
     )
 
 
-def _xgcd_step(a: int, b: int) -> tuple[int, int, int, int, int]:
-    """(h, s, u, a/h, b/h) for a, b > 0 with h = gcd(a, b) = s*a + u*b, so
+def _xgcd_step(a: int, b: int) -> tuple[int, int, int, int]:
+    """(s, u, a/h, b/h) for a, b > 0 with h = gcd(a, b) = s*a + u*b, so
     that [[s, u], [-b/h, a/h]] is unimodular and maps (a, b) to (h, 0)."""
     h = gcd(a, b)
     a_h, b_h = a // h, b // h
     s = pow(a_h, -1, b_h)
-    return h, s, (h - s * a) // b, a_h, b_h
+    return s, (h - s * a) // b, a_h, b_h
 
 
-def _smith_mod(rows: list[list[int]], g: int) -> tuple[int, ...]:
-    """The invariant factors of [A | g*I] for A = ``rows`` and g >= 1: one
-    per row, gcd(s_i, g) for the invariant factors s_i of A, with g where
-    s_i is 0 or missing.
+def _order_mod(rows: list[list[int]], g: int) -> int:
+    """The index in Z^r of L = A*Z^c + g*Z^r for the r x c A = ``rows`` and
+    g >= 1: the product of gcd(s_i, g) over the invariant factors s_i of A,
+    with g where s_i is 0 or missing.
 
-    The columns g*e_t make every entry of A count only modulo g, so entries
-    stay in [0, g).  Each pivot clears its column and row with 2x2
-    extended-gcd steps (a plain subtraction when it already divides the
-    entry), then takes gcd(pivot, g) from the implicit column g*e_t; a
-    gcd/lcm pass over the diagonal restores the divisibility chain."""
-    block = [[x % g for x in row] for row in rows]
-    diag = []
-    while block and block[0]:
-        pivot = next(((i, j) for i, row in enumerate(block)
-                      for j, x in enumerate(row) if x), None)
-        if pivot is None:
-            break
-        i, j = pivot
-        block[0], block[i] = block[i], block[0]
-        for row in block:
-            row[0], row[j] = row[j], row[0]
-        top = block[0]
-        while True:
-            a = top[0]
-            for i in range(1, len(block)):  # clear the pivot's column
-                row = block[i]
-                b = row[0]
-                if not b:
-                    continue
-                if b % a == 0:
-                    q = b // a
-                    block[i] = [(x - q * y) % g for x, y in zip(row, top)]
-                    continue
-                a, s, u, a_h, b_h = _xgcd_step(a, b)
-                top, block[i] = (
-                    [(s * y + u * x) % g for x, y in zip(row, top)],
-                    [(a_h * x - b_h * y) % g for x, y in zip(row, top)])
-                block[0] = top
-            for j in range(1, len(top)):  # clear the pivot's row
-                b = top[j]
-                if not b:
-                    continue
-                if b % a == 0:
-                    top[j] = 0  # the column below the pivot is zero
-                    continue
-                _, s, u, a_h, b_h = _xgcd_step(a, b)
-                for row in block:
-                    x, y = row[0], row[j]
-                    row[0] = (s * x + u * y) % g
-                    row[j] = (a_h * y - b_h * x) % g
-                break  # the pivot's column has entries below it again
+    The columns g*e_t make every entry count only modulo g, so entries stay
+    in [0, g).  One top-down sweep of column operations, which leave L as
+    it is, makes its basis lower triangular: row t folds every column into
+    its first one with a nonzero entry there, the pivot, by a subtraction
+    where the pivot's entry p divides the column's and a 2x2 extended-gcd
+    step otherwise.  Folding in g*e_t too leaves h = gcd(p, g) on the
+    diagonal, g when no column reaches row t, and (g/h) times the pivot's
+    part below row t as a column of its own.  The index is the product of
+    the diagonal."""
+    cols = [[x % g for x in col] for col in zip(*rows)]
+    order = 1
+    for _ in rows:
+        pivot, rest = None, []
+        for col in cols:
+            b = col[0]
+            if not b:
+                rest.append(col[1:])
+            elif pivot is None:
+                pivot, p = col, b
+            elif b % p == 0:
+                q = b // p
+                rest.append([(x - q * y) % g
+                             for x, y in zip(col[1:], pivot[1:])])
             else:
-                break
-        diag.append(gcd(a, g))
-        block = [row[1:] for row in block[1:]]
-    diag += [g] * (len(rows) - len(diag))
-    for i in range(len(diag)):  # diagonal to divisibility chain
-        for j in range(i + 1, len(diag)):
-            x, y = diag[i], diag[j]
-            if y % x:
-                h = gcd(x, y)
-                diag[i], diag[j] = h, x // h * y
-    return tuple(diag)
+                s, u, a_h, b_h = _xgcd_step(p, b)
+                rest.append([(a_h * x - b_h * y) % g
+                             for x, y in zip(col[1:], pivot[1:])])
+                pivot = [(s * y + u * x) % g for x, y in zip(col, pivot)]
+                p = pivot[0]
+        if pivot is None:
+            order *= g
+        else:
+            h = gcd(p, g)
+            order *= h
+            if h > 1:
+                k = g // h
+                rest.append([k * x % g for x in pivot[1:]])
+        cols = rest
+    return order
 
 
 def _bareiss_step(block: list[list[int]], i: int,
@@ -344,8 +325,8 @@ def _wide_order(rows: list[list[int]]) -> int:
     the pivot columns, whose gcd g is a multiple of the answer.  g is the
     answer when it is 0 or 1, or when gcd(p_(r-1), g) = 1: over each prime
     of g the matrix is then I_(r-1) plus the last row over p_(r-1).
-    Otherwise the answer is the product of the invariant factors modulo g
-    (``_smith_mod``) of the latest block of the last ``_WINDOW`` steps
+    Otherwise the answer is the index of g*Z^(r-k) plus the column lattice
+    (``_order_mod``) of the latest block of the last ``_WINDOW`` steps
     whose p_k is prime to g, over whose primes the matrix is I_k plus that
     block, or of the whole matrix (k = 0, p_0 = 1).  Odd pivots keep p_k
     odd wherever the leading columns allow."""
@@ -365,8 +346,8 @@ def _wide_order(rows: list[list[int]]) -> int:
     g = gcd(*block[0])
     if g <= 1 or gcd(prev, g) == 1:
         return g
-    return prod(_smith_mod(next((b for p, b in reversed(steps)
-                                 if gcd(p, g) == 1), rows), g))
+    return _order_mod(next((b for p, b in reversed(steps)
+                            if gcd(p, g) == 1), rows), g)
 
 
 def cokernel_order(a: IntMatrix) -> ExtNat:

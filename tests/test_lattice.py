@@ -17,7 +17,7 @@ from coincalc import (
     smith_normal_form,
 )
 from coincalc import lattice
-from coincalc.lattice import _smith_mod
+from coincalc.lattice import _order_mod
 from oracles import (
     column,
     cokernel_bruteforce_oracle,
@@ -251,16 +251,20 @@ def test_invariant_factors_match_snf_divisors_by_shape(a):
     assert smith_normal_form(a).divisors == invariant_factors_by_minors(a)
 
 
-def _smith_mod_calls(monkeypatch):
+# the tests named after _smith_mod, the Smith reduction modulo g that
+# _order_mod replaced, keep their names and check _order_mod
+
+
+def _order_mod_calls(monkeypatch):
     """Record the row count and modulus of every block that the wide
-    kernel hands to ``_smith_mod``."""
+    kernel hands to ``_order_mod``."""
     calls = []
 
     def spy(rows, g):
         calls.append((len(rows), g))
-        return _smith_mod(rows, g)
+        return _order_mod(rows, g)
 
-    monkeypatch.setattr(lattice, "_smith_mod", spy)
+    monkeypatch.setattr(lattice, "_order_mod", spy)
     return calls
 
 
@@ -281,11 +285,11 @@ def _wide_chain(rng, chain):
 ], ids=["shortcut", "window-block", "whole-rows"])
 def test_wide_order_takes_each_branch(monkeypatch, rows, order, reduced):
     # the gcd g of the last row certifies itself when the last pivot minor
-    # is prime to it; else _smith_mod reduces modulo g the latest block whose
+    # is prime to it; else _order_mod reduces modulo g the latest block whose
     # pivot minor is, here the 2 rows past the first pivot -1, or the whole
     # rows, here since the leading column is even and so is every pivot
     # minor and g = 8
-    calls = _smith_mod_calls(monkeypatch)
+    calls = _order_mod_calls(monkeypatch)
     a = IntMatrix.from_rows(rows)
     assert cokernel_order(a) == order == maximal_minor_gcd(a)
     assert calls == reduced
@@ -298,7 +302,7 @@ def test_smith_mod_runs_on_a_window_block(monkeypatch, n):
     # the shortcut fails.  The odd pivot rule keeps an earlier p_k odd
     # where the leading columns allow, and the latest such block of the
     # window is reduced; the whole matrix is, only when none qualifies.
-    calls = _smith_mod_calls(monkeypatch)
+    calls = _order_mod_calls(monkeypatch)
     chain = (1,) * (n - 2) + (2, 6)
     rng = random.Random(n)
     for _ in range(8):
@@ -318,7 +322,7 @@ def test_smith_mod_runs_on_a_whole_diagonal_chain(monkeypatch, chain):
     # the order is d_1 ... d_(n-1).  Each pivot minor is a multiple of the
     # first pivot, d_1 in the chain's own order and d_n reversed, which
     # shares a prime with g, so only the whole matrix qualifies
-    calls = _smith_mod_calls(monkeypatch)
+    calls = _order_mod_calls(monkeypatch)
     n = len(chain)
     for diag in (chain, chain[::-1]):
         rows = [[x if i == j else 0 for j in range(n)] + [1]
@@ -336,7 +340,7 @@ def test_smith_mod_runs_on_the_whole_matrix_of_content_one(monkeypatch):
             [-2, -1, -3, 1, -2, -1, -3], [-2, 3, -3, 0, -1, 3, 1],
             [-4, 1, 2, -2, -1, 2, 2], [-4, -3, -2, 3, -3, 0, -3]]
     assert len(rows) > lattice._WINDOW + 1
-    calls = _smith_mod_calls(monkeypatch)
+    calls = _order_mod_calls(monkeypatch)
     a = IntMatrix.from_rows(rows)
     assert cokernel_order(a) == 1 == maximal_minor_gcd(a)
     assert calls == [(6, 2)]
@@ -345,10 +349,10 @@ def test_smith_mod_runs_on_the_whole_matrix_of_content_one(monkeypatch):
 @pytest.mark.parametrize("f", [2, 9, 10 ** 6 + 3, 7 ** 100])
 def test_content_is_divided_out_first(monkeypatch, f):
     # every row shares f: the order is f**6 times that of the quotient, and
-    # the modulus handed to _smith_mod is that of the quotient
+    # the modulus handed to _order_mod is that of the quotient
     rng = random.Random(f % 1000)
     a = _wide_chain(rng, (1, 1, 2, 2, 6, 12))
-    calls = _smith_mod_calls(monkeypatch)
+    calls = _order_mod_calls(monkeypatch)
     assert cokernel_order(a) == 288
     quotient_calls = list(calls)
     assert quotient_calls
@@ -379,8 +383,8 @@ def test_smith_mod_is_gcd_of_factors_and_modulus(g):
         if rng.random() < 0.2 and r > 1:
             rows[-1] = [x + 3 * y for x, y in zip(rows[0], rows[1])]
         a = IntMatrix.from_rows(rows)
-        want = tuple(math.gcd(s, g) for s in _padded_diagonal(a))
-        assert _smith_mod(rows, g) == want
+        want = math.prod(math.gcd(s, g) for s in _padded_diagonal(a))
+        assert _order_mod(rows, g) == want
 
 
 def test_diagonal_chain_of_thousand_digits():
@@ -393,7 +397,7 @@ def test_diagonal_chain_of_thousand_digits():
     for diag in (chain, chain[::-1], chain[1::2] + chain[::2]):
         a = IntMatrix.diagonal(diag)
         assert cokernel_order(a) == maximal_minor_gcd(a) == math.prod(chain)
-        assert _smith_mod(a.to_rows(), chain[-1]) == tuple(chain)
+        assert _order_mod(a.to_rows(), chain[-1]) == math.prod(chain)
 
 
 def test_udv_16x16_with_known_chain():
@@ -404,7 +408,7 @@ def test_udv_16x16_with_known_chain():
             _random_unimodular(rng, 16, shears=60))
     assert len(set(a.entries)) > 20
     assert cokernel_order(a) == maximal_minor_gcd(a) == math.prod(chain)
-    assert _smith_mod(a.to_rows(), chain[-1]) == chain
+    assert _order_mod(a.to_rows(), chain[-1]) == math.prod(chain)
 
 
 def test_invariant_factors_dense_thousand_digits():
@@ -419,9 +423,27 @@ def test_invariant_factors_dense_thousand_digits():
     det = abs(det_cofactor(a))
     assert det
     d1 = math.gcd(*entries)
-    # both factors divide det, so modulo det they come out whole
-    assert _smith_mod(a.to_rows(), det) == (d1, det // d1)
+    # both factors d1 | d2 divide det, so modulo det they come out whole,
+    # and modulo d1 each leaves d1
+    assert _order_mod(a.to_rows(), det) == det
+    assert _order_mod(a.to_rows(), d1) == d1 ** 2
     assert cokernel_order(a) == det
+
+
+def test_order_mod_counts_the_cosets_of_the_bordered_matrix():
+    # the oracle counts Z^r modulo the columns of [A | g*I] without any
+    # Smith routine: every shape with r <= 3 and c + r <= 4
+    rng = random.Random(26)
+    for r, c in [(r, c) for r in (1, 2, 3) for c in range(1, 5 - r)]:
+        for g in (*range(1, 13), 30, 36):
+            for _ in range(9):
+                rows = [[rng.randint(-6, 6) for _ in range(c)]
+                        for _ in range(r)]
+                bordered = IntMatrix.from_rows(
+                    [row + [g if i == j else 0 for j in range(r)]
+                     for i, row in enumerate(rows)])
+                assert _order_mod(rows, g) == cokernel_bruteforce_oracle(
+                    bordered, max(6, g))
 
 
 # -- |det| of the image: the cokernel order -----------------------------------
@@ -629,7 +651,7 @@ def test_cokernel_order_of_square_and_tall_never_reaches_smith_mod(
                                                        [0, 6, 0]]))]
     tall = [IntMatrix.from_rows(rows + [[x + y for x, y in zip(*rows[:2])]])
             for rows in (a.to_rows() for a in square[:4])]
-    calls = _smith_mod_calls(monkeypatch)
+    calls = _order_mod_calls(monkeypatch)
     assert [cokernel_order(a) for a in square] == [3456, 36, 288,
                                                   288 * (10 ** 7 + 19) ** 6,
                                                   INFINITE]
@@ -718,6 +740,35 @@ def test_cokernel_order_divides_out_row_factors_at_the_digit_cap():
     quotient = cokernel_order(IntMatrix.from_rows(b))
     assert quotient is not INFINITE
     assert cokernel_order(a) == math.prod(c) * quotient
+
+
+def _hidden_factor(rng, r):
+    """(L * D * B, D) for an r x (r+1) B of entries in -2..2, D a diagonal
+    of 7-digit factors and L unit lower-bidiagonal with its subdiagonal in
+    -2..2: the factors of D hide in every pivot minor."""
+    b = [[rng.randint(-2, 2) for _ in range(r + 1)] for _ in range(r)]
+    d = [rng.randint(10 ** 6, 10 ** 7 - 1) for _ in range(r)]
+    below = [rng.randint(-2, 2) for _ in range(r)]
+    rows = [[d[i] * x + (below[i] * d[i - 1] * y if i else 0)
+             for x, y in zip(b[i], b[i - 1])] for i in range(r)]
+    return IntMatrix.from_rows(rows), IntMatrix.from_rows(b), d
+
+
+def test_cokernel_order_reduces_the_whole_matrix_at_the_digit_cap(
+        monkeypatch):
+    # the slowest shape admitted: a hidden-factor 63x64 whose every pivot
+    # minor shares a factor of D with g, so that the whole matrix is
+    # reduced modulo g.  Its maximal minors are prod(D) times those of B
+    # (Cauchy-Binet), since det L = 1.
+    from coincalc.cli import MAX_MATRIX_DIGITS, _digits
+    a, b, d = _hidden_factor(random.Random(1), 63)
+    assert 0.85 * MAX_MATRIX_DIGITS < sum(map(_digits, a.entries)) \
+        <= MAX_MATRIX_DIGITS
+    quotient = cokernel_order(b)
+    assert quotient is not INFINITE
+    calls = _order_mod_calls(monkeypatch)
+    assert cokernel_order(a) == math.prod(d) * quotient
+    assert 63 in [rows for rows, _ in calls]
 
 
 def _random_unimodular(rng, n, shears=6):
