@@ -3,14 +3,18 @@ torus query, and the Smith normal form.
 
 Everything runs on Python's arbitrary-precision integers; no intermediate
 value is allowed to overflow because none can.  Two fraction-free
-(Bareiss) eliminations serve ``cokernel_order``: ``_det`` and, on odd
-pivots where it can, ``_wide_order``.  ``cokernel_order`` first peels
-singleton rows, those with one nonzero entry x: the order is |x| times
-that of the matrix without x's row and column, so diagonal and triangular
-matrices, permuted or not, take no elimination.  Of a square matrix left
-it reads |det| from ``_det``, INFINITE when that is 0.  Only a wide matrix
-needs more, the gcd of its maximal minors: the product of its row contents
-and of the maximal-minor gcd of the rows divided by them.
+(Bareiss) eliminations serve ``cokernel_order``.  ``_det`` eliminates two
+columns per pass: every entry left becomes a 3x3 minor of the block
+divided by prev^2, prev the pivot minor of the pass before, an exact
+division by Sylvester's identity.  ``_wide_order`` eliminates one column
+per step, on odd pivots where it can, since its fallback may need the
+block of any step.  ``cokernel_order`` first peels singleton rows, those
+with one nonzero entry x: the order is |x| times that of the matrix
+without x's row and column, so diagonal and triangular matrices, permuted
+or not, take no elimination.  Of a square matrix left it reads |det| from
+``_det``, INFINITE when that is 0.  Only a wide matrix needs more, the gcd
+of its maximal minors: the product of its row contents and of the
+maximal-minor gcd of the rows divided by them.
 
 ``_wide_order`` builds no transforms.  Its elimination ends in one row of
 maximal minors, whose gcd g is a multiple of the answer, and the answer
@@ -293,19 +297,44 @@ def _bareiss_step(block: list[list[int]], i: int,
 
 
 def _det(rows: list[list[int]]) -> int:
-    """+-det of the square ``rows``, 0 when singular, by a fraction-free
-    (Bareiss) elimination that leaves ``rows`` as they are.
+    """+-det of the square ``rows``, 0 when singular, by a two-step
+    fraction-free (Bareiss) elimination that leaves ``rows`` as they are.
 
-    Each step (``_bareiss_step``) eliminates the leading column on its
-    first nonzero entry, the pivot.  Moving the pivot row out of the block
-    only flips the sign, and the last 2x2 block closes with one more
-    step."""
+    Each pass eliminates the two leading columns.  Its pivot row i is the
+    first with a nonzero leading entry, and its second row j the first of
+    the others whose 2x2 leading minor p with row i is nonzero; without
+    row i the leading column is zero, without row j it is zero after one
+    step, and so is det.  Every other row becomes the 3x3 minors of rows
+    i, j and itself on the two leading columns and one more, divided by
+    prev^2, prev being the pivot minor of the pass before (1 at the start);
+    p / prev is the next.  Both divisions are exact by Sylvester's
+    identity, and moving the two rows out of the block changes at most the
+    sign.  An odd size ends on a 1x1 block, an even one on a 2x2 block
+    that closes with one more one-column step."""
     block, prev = rows, 1
     while len(block) > 2:
-        i = next((i for i, row in enumerate(block) if row[0]), None)
-        if i is None:
+        for i, top in enumerate(block):
+            if top[0]:
+                break
+        else:
             return 0
-        block, prev = _bareiss_step(block, i, prev), block[i][0]
+        a, b = top[0], top[1]
+        rest = block[:i] + block[i + 1:]
+        for j, second in enumerate(rest):
+            c, e = second[0], second[1]
+            if a * e != c * b:
+                break
+        else:
+            return 0
+        del rest[j]
+        p, top, second = a * e - c * b, top[2:], second[2:]
+        pp, nxt = prev * prev, []
+        for row in rest:
+            x0, x1 = row[0], row[1]
+            k1, k2 = c * x1 - e * x0, x0 * b - a * x1
+            nxt.append([(p * x + k1 * y + k2 * z) // pp
+                        for x, y, z in zip(row[2:], top, second)])
+        block, prev = nxt, p // prev
     if len(block) == 1:
         return block[0][0]
     (a, b), (c, d) = block

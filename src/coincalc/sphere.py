@@ -74,9 +74,8 @@ def _resolve(d: SphereClassDescriptor):
         antipodal_degree = (-1) ** (d.n + 1)
         vanishes = d1 == antipodal_degree * d2  # the difference class
         nonzero = _NO_17E if vanishes else _YES_17E
-        # in_suspension is yes: suspension is onto pi_n(S^n)
-        return (_YES_17E if vanishes else _NO_17E, _YES_17E, nonzero,
-                nonzero, abs(d1 - d2) if d.n == 1 else None)
+        return (_YES_17E if vanishes else _NO_17E, d.in_suspension_image,
+                nonzero, nonzero, abs(d1 - d2) if d.n == 1 else None)
 
     homotopic = d.f1_homotopic_a_f2
     if d.m < d.n or (d.n == 1 and d.m >= 2):
