@@ -2,28 +2,24 @@
 torus query, and the Smith normal form.
 
 Everything runs on Python's arbitrary-precision integers; no intermediate
-value is allowed to overflow because none can.  Two fraction-free
-(Bareiss) eliminations serve ``cokernel_order``.  ``_det`` eliminates two
-columns per pass: every entry left becomes a 3x3 minor of the block
-divided by prev^2, prev the pivot minor of the pass before, an exact
-division by Sylvester's identity.  ``_wide_order`` eliminates one column
-per step, on odd pivots where it can, since its fallback may need the
-block of any step.  ``cokernel_order`` first peels singleton rows, those
-with one nonzero entry x: the order is |x| times that of the matrix
-without x's row and column, so diagonal and triangular matrices, permuted
-or not, take no elimination.  Of a square matrix left it reads |det| from
-``_det``, INFINITE when that is 0.  Only a wide matrix needs more, the gcd
-of its maximal minors: the product of its row contents and of the
-maximal-minor gcd of the rows divided by them.
+value is allowed to overflow because none can.  One fraction-free
+(Bareiss) elimination, ``_elim``, serves ``cokernel_order`` for square
+and wide matrices alike.  It eliminates two columns per pass: every entry
+left becomes a 3x3 minor of the block divided by prev^2, prev the pivot
+minor of the pass before, an exact division by Sylvester's identity.
+``cokernel_order`` first peels singleton rows, those with one nonzero
+entry x: the order is |x| times that of the matrix without x's row and
+column, so diagonal and triangular matrices, permuted or not, take no
+elimination.  Of a square matrix left it reads |det|, INFINITE when that
+is 0.  Only a wide matrix needs more, the gcd of its maximal minors: the
+product of its row contents and of the maximal-minor gcd of the rows
+divided by them.
 
-``_wide_order`` builds no transforms.  Its elimination ends in one row of
-maximal minors, whose gcd g is a multiple of the answer, and the answer
-itself when the last pivot minor is prime to g.  Otherwise, since by
-Sylvester's identity each block of the elimination is its pivot minor
-times a Schur complement, one sweep of column operations modulo g
-(``_order_mod``), whose entries never outgrow it, reads the answer off the
-latest block of the last few whose pivot minor is prime to g, and off the
-whole matrix only when none is.
+The elimination builds no transforms.  It ends in one row of maximal
+minors, whose gcd g is a multiple of the answer, and the answer itself
+when the last pivot minor is prime to g.  Otherwise one sweep of column
+operations modulo g over the whole matrix (``_order_mod``), whose entries
+never outgrow g, reads the answer off.
 
 ``smith_normal_form`` runs the gcd-pivot elimination ``_reduce`` with the
 U and V transforms, so the factorization D = U * A * V is returned and can
@@ -37,7 +33,6 @@ coset-counting oracles of ``tests/oracles.py``.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from math import gcd, prod
 from operator import methodcaller
 from typing import NamedTuple, Sequence
@@ -47,10 +42,6 @@ from .verdict import INFINITE, ExtNat, Record, _set
 
 _INT_ONLY = frozenset({int})
 _count_zeros = methodcaller("count", 0)
-
-# how many steps back from its last one _wide_order keeps the blocks of its
-# elimination, on which _order_mod may run
-_WINDOW = 4
 
 
 def _check_int(x) -> int:
@@ -231,7 +222,11 @@ def _xgcd_step(a: int, b: int) -> tuple[int, int, int, int]:
 def _order_mod(rows: list[list[int]], g: int) -> int:
     """The index in Z^r of L = A*Z^c + g*Z^r for the r x c A = ``rows`` and
     g >= 1: the product of gcd(s_i, g) over the invariant factors s_i of A,
-    with g where s_i is 0 or missing.
+    with g where s_i is 0 or missing.  When g is a multiple of the cokernel
+    order prod s_i, every s_i divides g, and that is the order itself:
+    ``cokernel_order`` runs it on the whole wide matrix when the
+    elimination does not certify g (the reduction modulo a determinant
+    multiple of Domich, Kannan and Trotter, 1987).
 
     The columns g*e_t make every entry count only modulo g, so entries stay
     in [0, g).  One top-down sweep of column operations, which leave L as
@@ -274,58 +269,53 @@ def _order_mod(rows: list[list[int]], g: int) -> int:
     return order
 
 
-def _bareiss_step(block: list[list[int]], i: int,
-                  prev: int) -> list[list[int]]:
-    """The block after one fraction-free (Bareiss) step that eliminates
-    the leading column of ``block`` on the pivot p = block[i][0], the
-    previous pivot being ``prev``: row i and the leading column are gone,
-    and every entry is a minor one larger than before.  A row whose leading
-    entry is 0 is only rescaled by p over ``prev``."""
-    top = block[i]
-    p, top = top[0], top[1:]
-    nxt = []
-    for row in block[:i] + block[i + 1:]:
-        x0 = row[0]
-        if x0:
-            nxt.append([(p * x - x0 * y) // prev
-                        for x, y in zip(row[1:], top)])
-        elif p == prev:
-            nxt.append(row[1:])
-        else:
-            nxt.append([p * x // prev for x in row[1:]])
-    return nxt
-
-
-def _det(rows: list[list[int]]) -> int:
-    """+-det of the square ``rows``, 0 when singular, by a two-step
-    fraction-free (Bareiss) elimination that leaves ``rows`` as they are.
+def _elim(rows: list[list[int]]) -> tuple[list[int], int] | None:
+    """(last, prev) of a two-step fraction-free (Bareiss) elimination of
+    the r x c ``rows``, r <= c, that leaves ``rows`` as they are.
+    ``last`` is the final row of maximal minors through the pivot columns,
+    for a square just +-det, all 0 below full row rank, and ``prev`` the
+    pivot minor before it.  None when a zero column shows the rank below
+    full earlier.
 
     Each pass eliminates the two leading columns.  Its pivot row i is the
     first with a nonzero leading entry, and its second row j the first of
-    the others whose 2x2 leading minor p with row i is nonzero; without
-    row i the leading column is zero, without row j it is zero after one
-    step, and so is det.  Every other row becomes the 3x3 minors of rows
-    i, j and itself on the two leading columns and one more, divided by
-    prev^2, prev being the pivot minor of the pass before (1 at the start);
-    p / prev is the next.  Both divisions are exact by Sylvester's
-    identity, and moving the two rows out of the block changes at most the
-    sign.  An odd size ends on a 1x1 block, an even one on a 2x2 block
-    that closes with one more one-column step."""
+    the others whose 2x2 leading minor p with row i is nonzero.  Without
+    row i the leading column is zero, and without row j the next one is
+    zero after a step on row i.  Such a column stays zero in every later
+    block, so it adds only zeros to ``last``: it is dropped from a block
+    wider than tall, and leaves the rank below full otherwise.  Every other
+    row becomes the 3x3 minors of rows i, j and itself on the two leading
+    columns and one more, divided by prev^2, prev being the pivot minor of
+    the pass before (1 at the start); p / prev is the next.  Both divisions
+    are exact by Sylvester's identity, and moving the two rows out of the
+    block changes at most the sign.  An odd row count ends on one row, an
+    even one on two rows that close with one more one-column step."""
     block, prev = rows, 1
-    while len(block) > 2:
+    while len(block) > 1:
         for i, top in enumerate(block):
             if top[0]:
                 break
         else:
-            return 0
-        a, b = top[0], top[1]
-        rest = block[:i] + block[i + 1:]
+            if len(block[0]) <= len(block):
+                return None
+            block = [row[1:] for row in block]
+            continue
+        a, rest = top[0], block[:i] + block[i + 1:]
+        if len(block) == 2:
+            (row,) = rest
+            x0 = row[0]
+            return [(a * x - x0 * y) // prev
+                    for x, y in zip(row[1:], top[1:])], a
+        b = top[1]
         for j, second in enumerate(rest):
             c, e = second[0], second[1]
             if a * e != c * b:
                 break
         else:
-            return 0
+            if len(block[0]) <= len(block):
+                return None
+            block = [[row[0], *row[2:]] for row in block]
+            continue
         del rest[j]
         p, top, second = a * e - c * b, top[2:], second[2:]
         pp, nxt = prev * prev, []
@@ -335,48 +325,7 @@ def _det(rows: list[list[int]]) -> int:
             nxt.append([(p * x + k1 * y + k2 * z) // pp
                         for x, y, z in zip(row[2:], top, second)])
         block, prev = nxt, p // prev
-    if len(block) == 1:
-        return block[0][0]
-    (a, b), (c, d) = block
-    return (a * d - b * c) // prev
-
-
-def _wide_order(rows: list[list[int]]) -> int:
-    """The gcd of the maximal minors of the wide ``rows``, 0 below full
-    rank, by a fraction-free (Bareiss) elimination that leaves ``rows`` as
-    they are.
-
-    Each step (``_bareiss_step``) eliminates the leading column on its
-    first odd entry where it has one, else on its first nonzero one, and a
-    zero leading column is dropped.  After step k the block is p_k, the
-    k-minor of the pivots, times the Schur complement (Sylvester's
-    identity); after step r-1 its one row holds the maximal minors through
-    the pivot columns, whose gcd g is a multiple of the answer.  g is the
-    answer when it is 0 or 1, or when gcd(p_(r-1), g) = 1: over each prime
-    of g the matrix is then I_(r-1) plus the last row over p_(r-1).
-    Otherwise the answer is the index of g*Z^(r-k) plus the column lattice
-    (``_order_mod``) of the latest block of the last ``_WINDOW`` steps
-    whose p_k is prime to g, over whose primes the matrix is I_k plus that
-    block, or of the whole matrix (k = 0, p_0 = 1).  Odd pivots keep p_k
-    odd wherever the leading columns allow."""
-    block, prev = rows, 1
-    steps = deque([(1, rows)], _WINDOW + 1)
-    while len(block) > 1:
-        i = next((i for i, row in enumerate(block) if row[0] & 1), None)
-        if i is None:
-            i = next((i for i, row in enumerate(block) if row[0]), None)
-            if i is None:  # a zero column, which no maximal minor needs
-                if len(block[0]) <= len(block):
-                    return 0
-                block = [row[1:] for row in block]
-                continue
-        block, prev = _bareiss_step(block, i, prev), block[i][0]
-        steps.append((prev, block))
-    g = gcd(*block[0])
-    if g <= 1 or gcd(prev, g) == 1:
-        return g
-    return _order_mod(next((b for p, b in reversed(steps)
-                            if gcd(p, g) == 1), rows), g)
+    return block[0], prev
 
 
 def cokernel_order(a: IntMatrix) -> ExtNat:
@@ -392,12 +341,14 @@ def cokernel_order(a: IntMatrix) -> ExtNat:
     row leaves the rank below full, and so does a second singleton in the
     same column, which is zero once the first is peeled.
 
-    Of what is left, a square matrix takes ``_det``, whose +-det is 0
-    exactly below full rank.  A wide one takes ``_wide_order``, the gcd of
-    its maximal minors, since no single minor gives it, but first divides
-    each row i by its content c_i, which is not 0 after the peel: every
+    What is left takes one elimination (``_elim``), a wide matrix after
+    each row is divided by its content c_i, not 0 after the peel: every
     maximal minor holds each row once, so the order is prod c_i times the
-    quotient's."""
+    quotient's.  The gcd g of the last row is 0 below full rank, |det| of
+    a square, and the order of a wide matrix when prime to the last pivot
+    minor prev, since over each prime of g the matrix is then I plus the
+    last row over prev; else ``_order_mod`` reduces the whole quotient
+    modulo g."""
     if a.rows > a.cols:
         return INFINITE
     rows, scale = a.to_rows(), 1
@@ -423,10 +374,19 @@ def cokernel_order(a: IntMatrix) -> ExtNat:
                 for row in rest]
     if not rows:
         return scale
-    if len(rows) == len(rows[0]):
-        d = _det(rows)
-        return scale * abs(d) if d else INFINITE
-    contents = [gcd(*row) for row in rows]
-    d = _wide_order([row if g == 1 else [x // g for x in row]
-                     for row, g in zip(rows, contents)])
-    return scale * prod(contents) * d if d else INFINITE
+    wide = len(rows) < len(rows[0])
+    if wide:
+        contents = [gcd(*row) for row in rows]
+        scale *= prod(contents)
+        rows = [row if c == 1 else [x // c for x in row]
+                for row, c in zip(rows, contents)]
+    end = _elim(rows)
+    if end is None:
+        return INFINITE
+    last, prev = end
+    g = gcd(*last)
+    if not g:
+        return INFINITE
+    if wide and g > 1 and gcd(prev, g) > 1:
+        g = _order_mod(rows, g)
+    return scale * g

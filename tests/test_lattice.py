@@ -253,12 +253,14 @@ def test_invariant_factors_match_snf_divisors_by_shape(a):
 
 
 # the tests named after _smith_mod, the Smith reduction modulo g that
-# _order_mod replaced, keep their names and check _order_mod
+# _order_mod replaced, keep their names and check _order_mod; those named
+# after _wide_order and _det, the wide and square kernels that _elim
+# replaced, keep theirs and check _elim
 
 
 def _order_mod_calls(monkeypatch):
-    """Record the row count and modulus of every block that the wide
-    kernel hands to ``_order_mod``."""
+    """Record the row count and modulus of every call of ``_order_mod``
+    from ``cokernel_order``, which hands it the whole wide matrix."""
     calls = []
 
     def spy(rows, g):
@@ -280,37 +282,18 @@ def _wide_chain(rng, chain):
 
 
 @pytest.mark.parametrize("rows, order, reduced", [
-    ([[-2, 1, 1, 2], [0, -1, -1, 2], [-1, 0, 1, 1]], 2, []),
-    ([[-1, 0, 2, -1], [-1, 2, 0, 0], [-1, -4, 0, 2]], 2, [(2, 2)]),
+    ([[-1, 2, -4, -4], [3, -3, -2, 4], [0, -1, -4, 4]], 2, []),
     ([[0, -4, -3, 0], [-2, 0, 0, -1], [-2, 0, 1, -1]], 4, [(3, 8)]),
-], ids=["shortcut", "window-block", "whole-rows"])
+], ids=["shortcut", "whole-rows"])
 def test_wide_order_takes_each_branch(monkeypatch, rows, order, reduced):
     # the gcd g of the last row certifies itself when the last pivot minor
-    # is prime to it; else _order_mod reduces modulo g the latest block whose
-    # pivot minor is, here the 2 rows past the first pivot -1, or the whole
-    # rows, here since the leading column is even and so is every pivot
-    # minor and g = 8
+    # is prime to it, here g = 2 and the minor -3; else _order_mod reduces
+    # the whole rows modulo g, here since the leading column is even and so
+    # is every pivot minor and g = 8
     calls = _order_mod_calls(monkeypatch)
     a = IntMatrix.from_rows(rows)
     assert cokernel_order(a) == order == maximal_minor_gcd(a)
     assert calls == reduced
-
-
-@pytest.mark.parametrize("n", [3, 5, 8, 12, 16])
-def test_smith_mod_runs_on_a_window_block(monkeypatch, n):
-    # A mod 2 has rank n-2, so the last pivot minor p_(n-1), an
-    # (n-1)-minor, is even, and so is g unless a row content took the 2:
-    # the shortcut fails.  The odd pivot rule keeps an earlier p_k odd
-    # where the leading columns allow, and the latest such block of the
-    # window is reduced; the whole matrix is, only when none qualifies.
-    calls = _order_mod_calls(monkeypatch)
-    chain = (1,) * (n - 2) + (2, 6)
-    rng = random.Random(n)
-    for _ in range(8):
-        assert cokernel_order(_wide_chain(rng, chain)) == 12
-    window = [rows for rows, _ in calls if rows < n]
-    assert len(window) >= 3
-    assert all(rows <= lattice._WINDOW + 1 for rows in window)
 
 
 @pytest.mark.parametrize("chain", [
@@ -334,13 +317,11 @@ def test_smith_mod_runs_on_a_whole_diagonal_chain(monkeypatch, chain):
 
 
 def test_smith_mod_runs_on_the_whole_matrix_of_content_one(monkeypatch):
-    # six rows of content 1, past the window of _WINDOW + 1 steps, with an
-    # even leading column: so is every pivot minor and g = 2, and the
-    # whole matrix is reduced
+    # six rows of content 1 with an even leading column: so is every pivot
+    # minor and g = 2, and the whole matrix is reduced
     rows = [[2, 0, 2, 1, -3, -2, 1], [-4, -1, -2, 1, 0, 3, 0],
             [-2, -1, -3, 1, -2, -1, -3], [-2, 3, -3, 0, -1, 3, 1],
             [-4, 1, 2, -2, -1, 2, 2], [-4, -3, -2, 3, -3, 0, -3]]
-    assert len(rows) > lattice._WINDOW + 1
     calls = _order_mod_calls(monkeypatch)
     a = IntMatrix.from_rows(rows)
     assert cokernel_order(a) == 1 == maximal_minor_gcd(a)
@@ -350,8 +331,9 @@ def test_smith_mod_runs_on_the_whole_matrix_of_content_one(monkeypatch):
 @pytest.mark.parametrize("f", [2, 9, 10 ** 6 + 3, 7 ** 100])
 def test_content_is_divided_out_first(monkeypatch, f):
     # every row shares f: the order is f**6 times that of the quotient, and
-    # the modulus handed to _order_mod is that of the quotient
-    rng = random.Random(f % 1000)
+    # the modulus handed to _order_mod is that of the quotient; each seed
+    # draws a quotient whose last pivot minor shares a prime with g
+    rng = random.Random(f % 1000 + 5)
     a = _wide_chain(rng, (1, 1, 2, 2, 6, 12))
     calls = _order_mod_calls(monkeypatch)
     assert cokernel_order(a) == 288
@@ -531,19 +513,14 @@ def test_cokernel_order_peels_singleton_rows_without_elimination(
     lower = [[rng.randint(-10 ** 30, 10 ** 30) if j < i else
               (i + 2 if j == i else 0) for j in range(6)] for i in range(6)]
     upper = [row[::-1] for row in lower[::-1]]
-    calls, wide = [], []
-    det, wide_order = lattice._det, lattice._wide_order
+    calls = []
+    elim = lattice._elim
 
     def spy(rows):
         calls.append(rows)
-        return det(rows)
+        return elim(rows)
 
-    def wide_spy(rows):
-        wide.append(rows)
-        return wide_order(rows)
-
-    monkeypatch.setattr(lattice, "_det", spy)
-    monkeypatch.setattr(lattice, "_wide_order", wide_spy)
+    monkeypatch.setattr(lattice, "_elim", spy)
     assert [cokernel_order(IntMatrix.from_rows(h1)) for h1 in h1s] == [
         6, 6, INFINITE, 3, 4]
     assert [cokernel_order(IntMatrix.from_rows([row[::-1] for row in h1]))
@@ -551,12 +528,10 @@ def test_cokernel_order_peels_singleton_rows_without_elimination(
     assert cokernel_order(IntMatrix.from_rows(lower)) == 5040
     assert cokernel_order(IntMatrix.from_rows(upper)) == 5040
     assert calls == []
-    # past the singleton row, a dense 2x2 block takes the determinant
+    # past the singleton row, a dense 2x2 block takes the elimination
     assert cokernel_order(IntMatrix.from_rows(
         [[5, 0, 0], [7, 1, 2], [1, 3, 4]])) == 10
     assert calls == [[[1, 2], [3, 4]]]
-    # no square matrix reaches the wide kernel
-    assert wide == []
 
 
 @st.composite
@@ -585,11 +560,17 @@ def det_matrices(draw, max_side=8):
 @given(det_matrices())
 def test_det_is_the_determinant_up_to_sign(rows):
     # cofactor expansion up to 5x5, and past it the one-column elimination
-    # of the oracles, which shares no code with the two-column _det
+    # of the oracles, which shares no code with the two-column _elim; a
+    # square ends on one entry, +-det, or on None when singular
     before = [row[:] for row in rows]
     expected = (det_cofactor(IntMatrix.from_rows(rows)) if len(rows) <= 5
                 else det_bareiss(rows))
-    assert abs(lattice._det(rows)) == abs(expected)
+    end = lattice._elim(rows)
+    if end is None:
+        assert expected == 0
+    else:
+        (det,), _ = end
+        assert abs(det) == abs(expected)
     assert rows == before
 
 
@@ -607,8 +588,10 @@ def _workload_squares():
 
 def test_det_agrees_with_the_wide_kernel():
     # every square h1 of the seed-1 torus-lattice and bigint rounds, and a
-    # random 64x64 at the digit cap, bordered by a zero column: the wide
-    # kernel's odd pivots take another path to the same |det|
+    # random 64x64 at the digit cap, bordered in front by a zero column: the
+    # wide path divides out row contents, drops that column, and certifies
+    # the last row's gcd or reduces the whole matrix modulo it, to the same
+    # order
     from coincalc.cli import MAX_MATRIX_DIGITS, _digits
     bound = 10 ** (MAX_MATRIX_DIGITS // 64 ** 2)
     rng = random.Random(64)
@@ -619,9 +602,10 @@ def test_det_agrees_with_the_wide_kernel():
     assert sum(len(rows) > 4 for rows in squares) > 100
     singular = 0
     for rows in squares:
-        d = lattice._det(rows)
-        assert abs(d) == lattice._wide_order([row + [0] for row in rows])
-        singular += not d
+        order = cokernel_order(IntMatrix.from_rows(rows))
+        assert order == cokernel_order(
+            IntMatrix.from_rows([[0, *row] for row in rows]))
+        singular += order is INFINITE
     assert singular > 0
 
 
@@ -696,8 +680,10 @@ def wide_matrices(draw, max_rows=5):
     """Wide r x c matrices, r <= 5 and c <= r + 3, of two kinds: L * D * B
     with L unit lower-bidiagonal, D a diagonal of small factors and B of
     entries in -2..2, whose factors hide; or 1- to 300-digit entries.  Then
-    leading and other columns zeroed, a row made a combination of others
-    and rows given factors of their own, each drawn."""
+    leading and other columns zeroed, a column made a multiple of another,
+    often column 1 of column 0, which leaves no nonzero 2x2 leading minor,
+    a row made a combination of others and rows given factors of their
+    own, each drawn."""
     r = draw(st.integers(1, max_rows))
     c = draw(st.integers(r + 1, r + 3))
     if draw(st.booleans()):
@@ -717,6 +703,12 @@ def wide_matrices(draw, max_rows=5):
     zeroed |= draw(st.sets(st.integers(0, c - 1), max_size=1))
     rows = [[0 if j in zeroed else x for j, x in enumerate(row)]
             for row in rows]
+    if draw(st.booleans()):
+        j, k = draw(st.just((1, 0)) | st.permutations(range(c)).map(
+            lambda perm: perm[:2]))
+        f = draw(st.integers(-3, 3))
+        for row in rows:
+            row[j] = f * row[k]
     if r > 1 and draw(st.booleans()):
         perm = draw(st.permutations(range(r)))
         i, j, k = perm[0], perm[1], perm[-1]  # j = k when r = 2
