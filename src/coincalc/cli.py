@@ -66,7 +66,7 @@ wecken = _Lazy("wecken")
 # factors are hidden, L*D*B with L unit lower-bidiagonal, D a diagonal of
 # 7-digit factors and B of entries in -2..2, whose cokernel order has
 # about 420 digits: the elimination and a sweep of the whole matrix modulo
-# a gcd of about 300 digits take 0.43-0.56 s.
+# a gcd of about 300 digits take 0.45-0.62 s (three random such matrices).
 MAX_MATRIX_DIM = 64
 MAX_MATRIX_DIGITS = 32_000  # decimal digits of all entries together
 

@@ -101,7 +101,6 @@ _REID_ONE = Verdict.finite(1, ("Thm1.7a",))
 _REID_INFINITE = Verdict.infinite(("Thm1.7a",))
 _MCC_ZERO = Verdict.finite(0, ("Thm1.7c",))
 _MCC_ONE = Verdict.finite(1, ("Thm1.7c",))
-_MCC_INFINITE = Verdict.infinite(("Thm1.7c",))
 _MCC_UNKNOWN = Verdict.unknown(("Thm1.7c", "needs:f1_homotopic_a_f2"))
 _MC_ZERO = Verdict.finite(0, ("Thm1.7b",))
 _MC_ONE = Verdict.finite(1, ("Thm1.7b",))
@@ -141,8 +140,9 @@ def sphere_invariants(d: SphereClassDescriptor) -> InvariantBundle:
     elif hom is Truth.YES:
         mcc = _MCC_ZERO
     elif hom is Truth.NO:
-        # the Reidemeister number, 1 or (n = 1 < m) infinite
-        mcc = _MCC_ONE if n >= 2 else _MCC_INFINITE
+        # the Reidemeister number, 1: here n >= 2, since _resolve forces
+        # hom = yes at n = 1 < m
+        mcc = _MCC_ONE
     else:
         mcc = _MCC_UNKNOWN
     n_sharp = mcc

@@ -1,13 +1,12 @@
 """The homotopy/bordism fact base.
 
 Tabulated facts live in a versioned JSON file (one entry per line, each with
-a citation); this module loads it and lints it on every load.  Answers read
-only its pinpoint entries: Wecken rule R3 reads pi_10(S^6).  Its framed_so
-section is the cited reference that the tests check the closed form
-two_chi_so_vanishes against.  That closed form and kervaire_status are
-plain functions here, so an alternative file cannot change them.  The
-runtime never infers new group structures: pinpoint gives None for a key
-the file lacks, never a fabricated value.
+a citation); this module loads it and lints it on every load.  The file
+holds only pinpoint entries, and answers read one of them: Wecken rule R3
+reads pi_10(S^6).  The closed forms two_chi_so_vanishes and
+kervaire_status are plain functions here, so an alternative file cannot
+change them.  The runtime never infers new group structures: pinpoint gives
+None for a key the file lacks, never a fabricated value.
 
 File schema: see docs/factbase.md.  The bundled file can be overridden with
 the NIELSEN_FACTBASE environment variable.
@@ -123,9 +122,13 @@ TWO_CHI_FACTS = (_CHI_ZERO, _SO1_INFINITE, _TWO_SO_EVEN, _SO_NULLBORDANT,
 def two_chi_so_vanishes(k: int, chi: int) -> Fact:
     """Does 2 * chi * [SO(k)] vanish in the stable stem k(k-1)/2?
 
-    Closed-form rules only; odd k >= 11 stays Unknown because the order of
-    the framed class is an open problem there.  The answer is one of
-    TWO_CHI_FACTS.
+    Closed-form rules only, from the orders of the framed classes: [SO(1)]
+    is the framed point, of infinite order; 2[SO(2l)] = 0 (Becker-Schultz
+    1974, 4.7); [SO(3)] has order 12 (Atiyah-Smith 1974); [SO(5)] has
+    order 3 and [SO(k)] is nullbordant for the other 4 <= k <= 9 (Ossa
+    1989, table 1); 24[SO(k)] = 0 for every k >= 2 (Ossa 1989, p. 315).
+    Odd k >= 11 stays Unknown otherwise, because the order of the framed
+    class is an open problem there.  The answer is one of TWO_CHI_FACTS.
     """
     if k < 1:
         raise DescriptorError("frame count must be >= 1")
@@ -171,12 +174,12 @@ def kervaire_status(n: int) -> KervaireStatus:
 # -- linter ---------------------------------------------------------------
 
 
-def _entry_line_numbers(raw: str, section: str) -> list[int]:
-    """1-based line numbers of a section's entries when each entry object
+def _entry_line_numbers(raw: str) -> list[int]:
+    """1-based line numbers of the pinpoint entries when each entry object
     starts a line of its own, as in the shipped file; else fewer or none."""
     lines = raw.splitlines()
     start = next((i for i, line in enumerate(lines)
-                  if f'"{section}"' in line), len(lines))
+                  if '"pinpoints"' in line), len(lines))
     numbers = []
     for i in range(start + 1, len(lines)):
         stripped = lines[i].lstrip()
@@ -196,7 +199,7 @@ def _cited(entry: dict) -> bool:
     return isinstance(citation, str) and bool(citation.strip())
 
 
-_KEYS = ("version", "framed_so", "pinpoints")
+_KEYS = ("version", "pinpoints")
 
 
 def lint_text(raw: str) -> list[tuple[int | None, str]]:
@@ -226,77 +229,45 @@ def _parse_and_lint(raw: str) -> tuple[object, list[tuple[int | None, str]]]:
     errors += [(None, f"missing top-level key {key!r}")
                for key in _KEYS if key not in doc]
 
-    def fail(section, index, message):
-        numbers = _entry_line_numbers(raw, section)
+    def fail(index, message):
+        numbers = _entry_line_numbers(raw)
         line = numbers[index] if index < len(numbers) else None
-        errors.append((line, f"{section}[{index}]: {message}"))
+        errors.append((line, f"pinpoints[{index}]: {message}"))
 
     version = doc.get("version")
     if "version" in doc and not (isinstance(version, str) and version):
         errors.append((None, "version must be a nonempty string"))
-    for section in _KEYS[1:]:
-        entries = doc.get(section, [])
-        if not isinstance(entries, list):
-            errors.append((None, f"{section} must be a list"))
-            continue
+    entries = doc.get("pinpoints", [])
+    if not isinstance(entries, list):
+        errors.append((None, "pinpoints must be a list"))
+    else:
         for i, e in enumerate(entries):
             if not isinstance(e, dict):
-                fail(section, i, "an entry must be a JSON object")
+                fail(i, "an entry must be a JSON object")
     if errors:
         return doc, errors
-
-    seen_k = set()
-    for i, e in enumerate(doc["framed_so"]):
-        k = e.get("k")
-        if not _is_int(k) or k < 1:
-            fail("framed_so", i, "k must be a positive integer")
-            continue
-        if k in seen_k:
-            fail("framed_so", i, f"duplicate frame count {k}")
-        seen_k.add(k)
-        stem = e.get("stem")
-        if not _is_int(stem) or stem != k * (k - 1) // 2:
-            fail("framed_so", i, f"stem must be k(k-1)/2 = {k * (k - 1) // 2}")
-        order = e.get("order_of_class")
-        if order == "infinite":
-            if k != 1:
-                fail("framed_so", i,
-                     "only the framed point SO(1) has infinite order")
-        elif order == "unknown":
-            pass
-        elif not _is_int(order) or order < 1:
-            fail("framed_so", i, f"bad order_of_class {order!r}")
-        else:
-            if k >= 2 and 24 % order:
-                fail("framed_so", i,
-                     f"order_of_class {order} does not divide 24")
-            if k >= 2 and k % 2 == 0 and 2 % order:
-                fail("framed_so", i,
-                     f"k even: order_of_class {order} does not divide 2")
-        if not _cited(e):
-            fail("framed_so", i, "missing citation")
 
     seen_keys = set()
     for i, e in enumerate(doc["pinpoints"]):
         key = e.get("key")
         if not key or not isinstance(key, str):
-            fail("pinpoints", i, "missing key")
+            fail(i, "missing key")
             continue
         if key in seen_keys:
-            fail("pinpoints", i, f"duplicate key {key!r}")
+            fail(i, f"duplicate key {key!r}")
         seen_keys.add(key)
         trivial = e.get("is_trivial")
         if trivial not in ("yes", "no"):
-            fail("pinpoints", i, "is_trivial must be yes/no")
+            fail(i, "is_trivial must be yes/no")
         order = e.get("order")
         if not (order in ("infinite", "unknown")
                 or _is_int(order) and order >= 1):
-            fail("pinpoints", i, "order must be a positive integer, "
-                                 f"'infinite' or 'unknown', not {order!r}")
+            fail(i, "order must be a positive integer, "
+                    f"'infinite' or 'unknown', not {order!r}")
         elif trivial == "yes" and order not in (1, "unknown"):
-            fail("pinpoints", i, "a trivial group has order 1")
+            fail(i, "a trivial group has order 1")
         if not _cited(e):
-            fail("pinpoints", i, "missing citation")
+            fail(i, "missing citation")
 
     return doc, errors
 

@@ -1,11 +1,14 @@
-"""Test oracles for the lattice layer, independent of the Smith reduction.
+"""Test oracles, independent of the code they check.
 
-Determinants come from cofactor expansion or from this module's own
-fraction-free elimination, ranks from minors, and the order of a cokernel
-from counting cosets by enumeration and union-find, or from the gcd of
-every maximal minor.  No oracle calls a kernel of the lattice layer, so
-none shares the code it checks.  Only sensible at desk scale; no answer
-runs any of this.
+For the lattice layer, determinants come from cofactor expansion or from
+this module's own fraction-free elimination, ranks from minors, and the
+order of a cokernel from counting cosets by enumeration and union-find, or
+from the gcd of every maximal minor.  No oracle calls a kernel of the
+lattice layer, so none shares the code it checks.  Only sensible at desk
+scale; no answer runs any of this.
+
+For the closed form tables.two_chi_so_vanishes, FRAMED_SO_ORDERS lists the
+cited orders of the invariantly framed [SO(k)].
 """
 
 import itertools
@@ -221,3 +224,24 @@ def cokernel_bruteforce_oracle(a: IntMatrix, box: int) -> ExtNat:
             union(k, key(shifted))
 
     return sum(1 for k in parent if find(k) == k)
+
+
+# k -> (order of [SO(k)] in the stable stem k(k-1)/2, citation): a positive
+# integer, "infinite" (only the framed point, k = 1) or "unknown"
+FRAMED_SO_ORDERS = {
+    1: ("infinite", "SO(1) is a framed point generating pi_0^S = Z"),
+    2: (2, "derived, not tabulated in the literature cited here: the Lie "
+           "framing of the circle represents the generator of pi_1^S; "
+           "consistent with 2[SO(2l)] = 0 (Becker-Schultz 1974, 4.7)"),
+    3: (12, "Atiyah-Smith 1974: [SO(3)] has order 12 in pi_3^S = Z/24"),
+    4: (1, "Ossa 1989, table 1: SO(k) is nullbordant for 4 <= k <= 9, "
+           "k != 5"),
+    5: (3, "Ossa 1989: [SO(5)] has order 3 in pi_10^S = Z/6"),
+    6: (1, "Ossa 1989, table 1"),
+    7: (1, "Ossa 1989, table 1"),
+    8: (1, "Ossa 1989, table 1"),
+    9: (1, "Ossa 1989, table 1"),
+    10: ("unknown", "divides 2: 2[SO(2l)] = 0 (Becker-Schultz 1974, 4.7)"),
+    11: ("unknown", "divides 24: 24[SO(k)] = 0 (Ossa 1989, p. 315)"),
+    12: ("unknown", "divides 2: 2[SO(2l)] = 0 (Becker-Schultz 1974, 4.7)"),
+}

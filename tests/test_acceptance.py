@@ -34,6 +34,7 @@ from coincalc import (
     wecken_condition,
 )
 from coincalc.tables import FactBase, lint_text
+from factfiles import factbase_text, shipped_factbase
 from oracles import cokernel_bruteforce_oracle
 
 DATA = Path(__file__).parent / "data"
@@ -310,19 +311,9 @@ def test_criterion_7_golden_corpus_validates():
 def test_criterion_8_factbase_linter():
     raw = Path(FactBase.bundled_path()).read_text()
     assert lint_text(raw) == []
-    doc = json.loads(raw)
-    for entry in doc["framed_so"]:
-        if entry["k"] == 3:
-            entry["order_of_class"] = 5  # violates 24-divisibility
-    lines = ['{', f'  "version": {json.dumps(doc["version"])},']
-    for section in ("framed_so", "pinpoints"):
-        tail = "," if section != "pinpoints" else ""
-        body = ",\n".join(f"    {json.dumps(e)}" for e in doc[section])
-        lines.append(f'  "{section}": [\n{body}\n  ]{tail}')
-    lines.append("}")
-    problems = lint_text("\n".join(lines))
-    assert len(problems) == 1
-    line, message = problems[0]
-    assert "does not divide 24" in message and line is not None
-    report(8, "shipped fact base lints clean; a single corrupted framed "
+    doc = shipped_factbase()
+    doc["pinpoints"][0]["order"] = 2  # pi_10(S^6) is trivial
+    problems = lint_text(factbase_text(doc))
+    assert problems == [(4, "pinpoints[0]: a trivial group has order 1")]
+    report(8, "shipped fact base lints clean; a single corrupted pinpoint "
               "order is caught with its line number")

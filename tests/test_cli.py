@@ -20,6 +20,7 @@ from coincalc.cli import (
     run_batch,
     run_query,
 )
+from factfiles import factbase_text, shipped_factbase
 from oracles import maximal_minor_gcd
 
 DATA = Path(__file__).parent / "data"
@@ -811,30 +812,23 @@ def test_factbase_lint_shipped():
 
 
 def _broken_factbase(tmp_path) -> Path:
-    """The shipped fact base, one entry a line, with an order of 7 for
-    k = 3, which the linter rejects."""
-    from coincalc.tables import FactBase
-    doc = json.loads(Path(FactBase.bundled_path()).read_text())
-    for e in doc["framed_so"]:
-        if e["k"] == 3:
-            e["order_of_class"] = 7
+    """The shipped fact base, one entry a line, with pi_10(S^5) (order 2)
+    claimed trivial, which the linter rejects on the entry's line 5."""
+    doc = {**shipped_factbase(), "version": "0.0.1"}
+    doc["pinpoints"][1]["is_trivial"] = "yes"
     path = tmp_path / "bad.json"
-    lines = ['{', '  "version": "0.0.1",']
-    for section in ("framed_so", "pinpoints"):
-        tail = "," if section != "pinpoints" else ""
-        body = ",\n".join(f"    {json.dumps(e)}" for e in doc[section])
-        lines.append(f'  "{section}": [\n{body}\n  ]{tail}')
-    lines.append("}")
-    path.write_text("\n".join(lines))
+    path.write_text(factbase_text(doc))
     return path
+
+
+_BROKEN_ENTRY = "5: pinpoints[1]: a trivial group has order 1"
 
 
 def test_factbase_lint_broken(tmp_path):
     path = _broken_factbase(tmp_path)
     result = run_cli("factbase", "lint", str(path))
     assert result.returncode == 2
-    assert "divide 24" in result.stderr
-    assert f"{path}:" in result.stderr  # line-precise location
+    assert result.stderr == f"{path}:{_BROKEN_ENTRY}\n"  # line-precise
 
 
 def test_factbase_lint_reports_a_file_also_set_as_the_fact_base(tmp_path):
@@ -844,8 +838,7 @@ def test_factbase_lint_reports_a_file_also_set_as_the_fact_base(tmp_path):
     result = run_cli("factbase", "lint", str(path),
                      env_extra={"NIELSEN_FACTBASE": str(path)})
     assert result.returncode == 2
-    assert "divide 24" in result.stderr
-    assert f"{path}:" in result.stderr
+    assert result.stderr == f"{path}:{_BROKEN_ENTRY}\n"
     assert "rejected" not in result.stderr
 
 
@@ -887,24 +880,27 @@ def _shipped_factbase(**changes):
     (b'"fact base"', "must be a JSON object"),
     (b"[]", "must be a JSON object"),
     (_shipped_factbase(pinpoints={}), "pinpoints must be a list"),
-    (_shipped_factbase(framed_so=[None]), "framed_so[0]: an entry must be"),
+    (_shipped_factbase(pinpoints=[None]), "pinpoints[0]: an entry must be"),
     (_shipped_factbase(pinpoints=[7]), "pinpoints[0]: an entry must be"),
     (_shipped_factbase(pinpoints__order=0), "pinpoints[0]: order must be"),
     (_shipped_factbase(pinpoints__order=True), "pinpoints[0]: order must be"),
-    (_shipped_factbase(framed_so__k=True), "framed_so[0]: k must be"),
-    (_shipped_factbase(framed_so__order_of_class=True),
-     "framed_so[0]: bad order_of_class True"),
+    (_shipped_factbase(pinpoints__is_trivial=True),
+     "pinpoints[0]: is_trivial must be yes/no"),
     (_shipped_factbase(version=""), "version must be a nonempty string"),
     (_shipped_factbase(version=100), "version must be a nonempty string"),
     (_shipped_factbase(stable_stems=[]),
      "unknown top-level key 'stable_stems'"),
+    (_shipped_factbase(framed_so=[{"k": 1, "stem": 0,
+                                   "order_of_class": "infinite",
+                                   "citation": "the framed point"}]),
+     "unknown top-level key 'framed_so'"),
     (b"\xff\xfe{}", "not UTF-8 text"),
     (b'{"version": ' + b"1" * 5000 + b"}", "not valid JSON"),
     (b"[" * 100_000 + b"]" * 100_000, "not valid JSON: nested too deeply"),
 ], ids=["string", "array", "section-not-a-list", "null-entry",
-        "integer-entry", "order-zero", "order-true", "k-true",
-        "framed-order-true", "empty-version", "integer-version",
-        "old-stable-stems", "not-utf8", "huge-integer", "deep-nesting"])
+        "integer-entry", "order-zero", "order-true", "trivial-true",
+        "empty-version", "integer-version", "old-stable-stems",
+        "old-framed-so", "not-utf8", "huge-integer", "deep-nesting"])
 def test_malformed_factbase_is_rejected_cleanly(tmp_path, monkeypatch,
                                                 capsys, content, message):
     # the linter names the fault, and the loader never meets a file it

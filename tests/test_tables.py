@@ -15,6 +15,8 @@ from coincalc import (
     two_chi_so_vanishes,
 )
 from coincalc.tables import TWO_CHI_FACTS, lint_text
+from factfiles import factbase_text, shipped_factbase
+from oracles import FRAMED_SO_ORDERS
 
 
 def test_two_chi_examples():
@@ -79,11 +81,18 @@ def test_pinpoint_examples():
 
 
 def test_every_entry_has_citation():
+    for entry in shipped_factbase()["pinpoints"]:
+        assert entry["citation"].strip()
+    for _, citation in FRAMED_SO_ORDERS.values():
+        assert citation.strip()
+
+
+def test_shipped_file_holds_only_pinpoints():
     raw = open(FactBase.bundled_path(), encoding="utf-8").read()
     doc = json.loads(raw)
-    for section in ("framed_so", "pinpoints"):
-        for entry in doc[section]:
-            assert entry["citation"].strip()
+    assert list(doc) == ["version", "pinpoints"]
+    assert doc["version"] == "1.0.0"
+    assert factbase_text(doc) == raw  # the layout the tests write
 
 
 def test_bundled_path_is_the_packaged_file():
@@ -95,11 +104,9 @@ def test_bundled_path_is_the_packaged_file():
 
 
 def test_two_chi_closed_form_matches_framed_so():
-    # the cited framed_so orders are the oracle of the closed form
-    doc = json.loads(open(FactBase.bundled_path(), encoding="utf-8").read())
-    assert sorted(e["k"] for e in doc["framed_so"]) == list(range(1, 13))
-    for e in doc["framed_so"]:
-        k, order = e["k"], e["order_of_class"]
+    # the cited orders of the framed [SO(k)] are the oracle of the closed form
+    assert sorted(FRAMED_SO_ORDERS) == list(range(1, 13))
+    for k, (order, _) in FRAMED_SO_ORDERS.items():
         for chi in range(200):
             truth = two_chi_so_vanishes(k, chi).truth
             if order == "unknown":
@@ -117,43 +124,23 @@ def test_shipped_file_lints_clean():
 
 
 def _mutate(transform):
-    raw = open(FactBase.bundled_path(), encoding="utf-8").read()
-    doc = json.loads(raw)
+    doc = shipped_factbase()
     transform(doc)
-    # keep the one-entry-per-line layout so the linter can point at lines
-    lines = ['{', f'  "version": {json.dumps(doc["version"])},']
-    for section in ("framed_so", "pinpoints"):
-        lines.append(f'  "{section}": [')
-        entries = [f"    {json.dumps(e)}" for e in doc[section]]
-        lines.append(",\n".join(entries))
-        lines.append("  ]," if section != "pinpoints" else "  ]")
-    lines.append("}")
-    return "\n".join(lines)
+    return factbase_text(doc)
 
 
-def test_linter_catches_24_divisibility():
-    def break_so3(doc):
-        for e in doc["framed_so"]:
-            if e["k"] == 3:
-                e["order_of_class"] = 5  # 5 does not divide 24
-    raw = _mutate(break_so3)
+def test_linter_names_the_line_of_a_bad_pinpoint():
+    def break_z2(doc):
+        doc["pinpoints"][1]["is_trivial"] = "yes"  # pi_10(S^5) has order 2
+    raw = _mutate(break_z2)
     problems = lint_text(raw)
     assert len(problems) == 1
     line, message = problems[0]
-    assert "does not divide 24" in message
+    assert message == "pinpoints[1]: a trivial group has order 1"
     assert line is not None
-    assert '"k": 3' in raw.splitlines()[line - 1]
+    assert '"key": "pi_10_S^5"' in raw.splitlines()[line - 1]
     with pytest.raises(FactBaseError):
         FactBase.from_text(raw)
-
-
-def test_linter_catches_even_frame_divisibility():
-    def break_so4(doc):
-        for e in doc["framed_so"]:
-            if e["k"] == 4:
-                e["order_of_class"] = 3  # even k: must divide 2
-    problems = lint_text(_mutate(break_so4))
-    assert any("divide" in message for _, message in problems)
 
 
 def test_linter_catches_missing_citation():
