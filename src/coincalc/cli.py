@@ -379,7 +379,8 @@ _escape = json.encoder.encode_basestring_ascii
 _FIELD_SET = frozenset(_FIELD_NAMES)
 _VERDICT_CAP = 1024  # entries in _ENTRIES
 _SMALL_INT = 100  # int values below this share their entries
-_SPLIT_BITS = 6_000  # about 1,800 digits: longer ints are written in pieces
+_PIECE_DIGITS = 600  # at most 640, the least int-to-str limit CPython takes
+_PIECE = 10 ** _PIECE_DIGITS
 _ENTRIES: dict[tuple, _Entry] = {}  # (value, trace) -> the shared entry
 
 
@@ -412,35 +413,19 @@ def _scalar(v) -> str:
         return _escape(v)
     if not isinstance(v, int) or isinstance(v, bool):
         return json.dumps(v)  # None, a bool, a float, or not JSON (TypeError)
-    if v.bit_length() <= _SPLIT_BITS:
+    # CPython writes an int in time quadratic in its length and refuses
+    # past its int-to-str limit: 4,300 digits by default, never below 640
+    # when set.  So a long |v| is written as pieces of _PIECE_DIGITS peeled
+    # off its low end by divmod: within any limit, and at the lengths that
+    # answers reach as fast as a recursive split by squared powers of ten
+    if abs(v) < _PIECE:  # -_PIECE would build a new long int on each call
         return int.__repr__(v)
-    # CPython writes an int in time quadratic in its length, and refuses
-    # past 4,300 digits.  A longer one is split in halves by divmod with
-    # 10**(1024 * 2**j), squared up afresh on each call, and so are the
-    # halves, down to pieces of at most _SPLIT_BITS, within that limit
-    powers = [10 ** 1024]
-    while 2 * powers[-1].bit_length() - 2 < v.bit_length():
-        powers.append(powers[-1] * powers[-1])  # until |v| < powers[-1]**2
-    out = ["-"] if v < 0 else []
-    _write_digits(abs(v), powers, len(powers) - 1, 0, out)
-    return "".join(out)
-
-
-def _write_digits(n: int, powers: list[int], j: int, width: int,
-                  out: list[str]) -> None:
-    """Append the digits of 0 <= n < powers[j]**2 to out, zero-padded to
-    width, or with no leading zero when width is 0.  The low half of a
-    split by 10**k is padded to k digits."""
-    if n.bit_length() <= _SPLIT_BITS:
-        out.append(int.__repr__(n).zfill(width))
-        return
-    if not width:
-        while n < powers[j]:
-            j -= 1
-    high, low = divmod(n, powers[j])
-    half = 1024 << j  # digits of powers[j], less one
-    _write_digits(high, powers, j - 1, max(width - half, 0), out)
-    _write_digits(low, powers, j - 1, half, out)
+    n, pieces = abs(v), []
+    while n >= _PIECE:
+        n, low = divmod(n, _PIECE)
+        pieces.append(int.__repr__(low).zfill(_PIECE_DIGITS))
+    pieces.append(int.__repr__(n))
+    return ("-" if v < 0 else "") + "".join(reversed(pieces))
 
 
 def _text(value, trace, nl: str) -> str:

@@ -229,8 +229,12 @@ def _parse_and_lint(raw: str) -> tuple[object, list[tuple[int | None, str]]]:
     errors += [(None, f"missing top-level key {key!r}")
                for key in _KEYS if key not in doc]
 
+    numbers = None  # the entries' line numbers, found at the first fault
+
     def fail(index, message):
-        numbers = _entry_line_numbers(raw)
+        nonlocal numbers
+        if numbers is None:
+            numbers = _entry_line_numbers(raw)
         line = numbers[index] if index < len(numbers) else None
         errors.append((line, f"pinpoints[{index}]: {message}"))
 

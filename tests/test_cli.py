@@ -319,6 +319,27 @@ def test_general_source_note_writes_a_det_past_the_digit_limit(tmp_path,
             notes[:1], notes[1:]]
 
 
+LIMIT_QUERIES = [  # answers of 699 and 641 digits
+    {"id": "t", "family": "torus", "payload": {
+        "m": 2, "n": 2, "h1": [[10 ** 349 + 1, 0], [0, 10 ** 349 + 3]],
+        "source_is_torus": source_is_torus}}
+    for source_is_torus in (True, False)  # False writes |det| in a warning
+] + [{"id": "s", "family": "sphere", "payload": {
+    "m": 1, "n": 1, "degrees": [10 ** 640 - 1, -(10 ** 640 - 1)]}}]
+
+
+@pytest.mark.parametrize("query", LIMIT_QUERIES,
+                         ids=["torus", "general-source", "sphere"])
+def test_cli_writes_long_answers_under_the_least_digit_limit(tmp_path, query):
+    path = write_query(tmp_path, query)
+    default = run_cli("query", path)
+    lowered = run_cli("query", path,
+                      env_extra={"PYTHONINTMAXSTRDIGITS": "640"})
+    assert default.returncode == 0, default.stderr
+    assert lowered.returncode == 0, lowered.stderr
+    assert lowered.stdout == default.stdout
+
+
 def test_dump_keeps_the_input_digit_limit():
     limit = sys.get_int_max_str_digits()
     assert _dump({"v": 10 ** 5000}) == '{\n  "v": 1' + "0" * 5000 + "\n}\n"
@@ -331,11 +352,12 @@ BIG = 7 ** 6000  # 5,071 digits, past the int-to-str limit
 # newlines, non-ASCII and characters outside the basic plane
 TRICKY = ['"', "\\", "\n", "\r\t", "\x00\x1f", "≥ Ñ", "\u2028", "😀", ""]
 
-# digit counts about the sizes at which _dump splits a long int: its
-# ~1,800-digit threshold, its divisors 10**(1024 * 2**j) and CPython's
-# 4,300-digit int-to-str limit
-SPLIT_DIGITS = (1000, 1023, 1024, 1025, 1806, 1807, 2048, 2049, 4096, 4300,
-                4301, 8192, 16384, 32768, 40000)
+# digit counts from 599 to 40,000 digits: about the edges of the 600-digit
+# pieces in which _dump writes a long int, and CPython's default 4,300-digit
+# int-to-str limit
+SPLIT_DIGITS = (599, 600, 601, 1000, 1023, 1024, 1025, 1200, 1201, 1800,
+                1801, 1806, 1807, 2048, 2049, 4096, 4300, 4301, 8192, 16384,
+                32768, 40000)
 signs = st.sampled_from((1, -1))
 
 
@@ -354,9 +376,10 @@ big_ints = st.one_of(
     st.tuples(st.sampled_from(SPLIT_DIGITS), st.sampled_from((-1, 0, 1)),
               signs).map(lambda t: t[2] * (10 ** t[0] + t[1])),
     st.tuples(long_ints, signs).map(lambda t: t[0] * t[1]),
-    # a low half that starts with zeros, at each split
+    # a low part that starts with zeros, or holds a whole piece of them
     st.tuples(long_ints | st.integers(1, 10 ** 9),
-              st.sampled_from((1024, 2048, 4096, 8192)), signs).map(
+              st.sampled_from((600, 1024, 1200, 2048, 2400, 4096, 8192)),
+              signs).map(
         lambda t: t[2] * (t[0] * 10 ** t[1] + 7)),
 )
 
@@ -400,14 +423,22 @@ def reference_dump(value) -> str:
 
 
 @settings(max_examples=300, deadline=None)
-@given(json_values | answers | st.lists(answers, max_size=3))
-@example([BIG, {"a": BIG, "b": [BIG, -BIG]}, BIG])
-@example({"id": 7, "invariants": {}, "warnings": []})
-@example({"id": None, "x": [[], {}, [{}]], "y": {"": [True, 1.5]}})
-def test_dump_matches_json_dumps(value):
+@given(json_values | answers | st.lists(answers, max_size=3),
+       st.sampled_from((None, 640)))  # the default limit, or the least one
+@example([BIG, {"a": BIG, "b": [BIG, -BIG]}, BIG], None)
+@example([BIG, {"a": BIG, "b": [BIG, -BIG]}, BIG], 640)
+@example({"id": 7, "invariants": {}, "warnings": []}, None)
+@example({"id": None, "x": [[], {}, [{}]], "y": {"": [True, 1.5]}}, None)
+def test_dump_matches_json_dumps(value, digits):
     limit = sys.get_int_max_str_digits()
-    assert _dump(value) == reference_dump(value)
-    assert sys.get_int_max_str_digits() == limit
+    try:
+        if digits:
+            sys.set_int_max_str_digits(digits)
+        text = _dump(value)
+        assert sys.get_int_max_str_digits() == (digits or limit)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text == reference_dump(value)
 
 
 FIELDS = ["mc", "mcc", "n_sharp", "n_tilde", "n", "n_z", "reidemeister"]

@@ -14,6 +14,7 @@ from coincalc import (
     pinpoint,
     two_chi_so_vanishes,
 )
+from coincalc import tables
 from coincalc.tables import TWO_CHI_FACTS, lint_text
 from factfiles import factbase_text, shipped_factbase
 from oracles import FRAMED_SO_ORDERS
@@ -148,6 +149,26 @@ def test_linter_catches_missing_citation():
         doc["pinpoints"][0]["citation"] = ""
     problems = lint_text(_mutate(drop_citation))
     assert any("citation" in message for _, message in problems)
+
+
+def test_linter_finds_the_entry_lines_once(monkeypatch):
+    # each fault names its entry's line, but the file is scanned for those
+    # lines once, not once a fault
+    doc = {"version": "1.0.0", "pinpoints": [
+        {"key": f"k{i}", "is_trivial": "no", "order": 2, "citation": ""}
+        for i in range(1000)]}
+    scans = []
+    find = tables._entry_line_numbers
+
+    def counting_find(raw):
+        scans.append(raw)
+        return find(raw)
+
+    monkeypatch.setattr(tables, "_entry_line_numbers", counting_find)
+    raw = factbase_text(doc)
+    assert lint_text(raw) == [
+        (i + 4, f"pinpoints[{i}]: missing citation") for i in range(1000)]
+    assert scans == [raw]
 
 
 def test_linter_reports_broken_json():
